@@ -38,6 +38,7 @@ scalar :meth:`query_with_error`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +53,7 @@ from repro.core.config import (
 from repro.core.emergency import EmergencyStore, ExactEmergencyStore
 from repro.core.mice_filter import MiceFilter
 from repro.hashing import EncodedKeyBatch, HashFamily
-from repro.hashing.families import keys_from_arrays, keys_to_arrays
+from repro.hashing.families import KEY_TAG_NONE, keys_from_arrays, keys_to_arrays
 from repro.kernels import resolve_backend
 from repro.kernels.interning import KeyInterner
 from repro.kernels.scalar import EMPTY_ID, bucket_apply
@@ -458,9 +459,6 @@ class ReliableSketch(Sketch):
         """
         self._check_no_emergency("state_restore()")
         decoded = []
-        interner = KeyInterner(
-            max_keys=self.max_interned_keys, evict=self.interner_eviction
-        )
         for index, layer in enumerate(self._layers):
             width = (len(layer),)
             yes = self._check_snapshot_shape(state, f"layer{index}_yes", width)
@@ -473,22 +471,29 @@ class ReliableSketch(Sketch):
                 raise ValueError(
                     f"snapshot is missing the 'layer{index}_key_blob' array"
                 ) from None
-            keys = keys_from_arrays(tags, lengths, blob)
-            key_ids = np.full(len(keys), EMPTY_ID, dtype=np.int64)
-            for position, key in enumerate(keys):
-                if key is not None:
-                    key_ids[position] = interner.intern(key)
-            decoded.append((yes, no, keys, key_ids))
+            decoded.append((yes, no, tags, keys_from_arrays(tags, lengths, blob)))
+        # Intern every candidate key in (layer, position) order with one
+        # call; empty slots (the codec's NONE tag) keep EMPTY_ID.
+        occupied = np.concatenate([tags for _, _, tags, _ in decoded]) != KEY_TAG_NONE
+        candidates = list(compress(
+            chain.from_iterable(keys for _, _, _, keys in decoded), occupied.tolist()
+        ))
+        interner = KeyInterner(
+            max_keys=self.max_interned_keys, evict=self.interner_eviction
+        )
+        slot_ids = np.full(len(occupied), EMPTY_ID, dtype=np.int64)
+        slot_ids[occupied] = interner.intern_many(candidates)
+        layer_ids = np.split(slot_ids, np.cumsum([len(layer) for layer in self._layers])[:-1])
         settled = self._check_snapshot_shape(state, "settled", (self.config.depth + 1,))
         stats = self._check_snapshot_shape(state, "stats", (4,))
         filter_tables = None
         if self._filter is not None:
             filter_tables = self._check_snapshot_shape(
-                state, "filter_tables", self._filter.state_snapshot().shape
+                state, "filter_tables", (self._filter.arrays, self._filter.width)
             )
 
         self._interner = interner
-        for layer, (yes, no, keys, key_ids) in zip(self._layers, decoded):
+        for layer, (yes, no, _, keys), key_ids in zip(self._layers, decoded, layer_ids):
             layer.yes = yes.astype(np.int64, copy=True)
             layer.no = no.astype(np.int64, copy=True)
             layer.keys = list(keys)

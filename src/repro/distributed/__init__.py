@@ -65,6 +65,7 @@ from repro.distributed.transport import (
 )
 from repro.distributed.wire import (
     WIRE_VERSION,
+    FrameTooLargeError,
     WireFormatError,
     decode_batch,
     decode_config,
@@ -86,6 +87,7 @@ __all__ = [
     "FaultInjectingChannel",
     "FaultInjectingTransport",
     "FaultPlan",
+    "FrameTooLargeError",
     "IngestCoordinator",
     "RecoveryReport",
     "InprocTransport",

@@ -146,12 +146,16 @@ class WireFormatError(ValueError):
     """A frame or payload violates the wire format (or its version)."""
 
 
+class FrameTooLargeError(WireFormatError):
+    """A frame's payload exceeds :data:`MAX_PAYLOAD_BYTES`."""
+
+
 def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
     """Wrap ``payload`` in a versioned, length-prefixed frame."""
     if msg_type not in _MESSAGE_TYPES:
         raise WireFormatError(f"unknown message type {msg_type}")
     if len(payload) > MAX_PAYLOAD_BYTES:
-        raise WireFormatError(
+        raise FrameTooLargeError(
             f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte bound"
         )
     return _FRAME_HEADER.pack(MAGIC, WIRE_VERSION, msg_type, len(payload)) + payload
@@ -175,7 +179,7 @@ def parse_frame_header(header: bytes) -> tuple[int, int]:
     if payload_length > MAX_PAYLOAD_BYTES:
         # A hostile or corrupt header must never make a server allocate (or
         # wait for) an absurd payload — fail at the header, before any read.
-        raise WireFormatError(
+        raise FrameTooLargeError(
             f"declared payload of {payload_length} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte bound"
         )

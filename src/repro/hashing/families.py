@@ -95,7 +95,44 @@ def keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray]:
     purpose: it rides inside ``state_snapshot()`` dicts, which the
     distributed wire format ships as raw array bytes.  Inverse:
     :func:`keys_from_arrays`.
+
+    Lists of plain ints in ``[0, 2^31)`` and ``None`` (32-bit flow IDs and
+    empty buckets) encode with whole-array operations; any other list takes
+    the per-key path.  Both produce the same bytes.
     """
+    arrays = _small_int_keys_to_arrays(keys)
+    if arrays is None:
+        arrays = _keys_to_arrays_per_key(keys)
+    return arrays
+
+
+def _small_int_keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray] | None:
+    """The whole-array encoding, or ``None`` when a key is not a small int.
+
+    The type screen runs at C speed (``bool`` and int subclasses fail it);
+    ints beyond ``int64`` fail the array conversion, and negative or
+    ``>= 2^31`` ones the bounds check.  Each key ``k`` encodes as the
+    4-byte little-endian ``k << 1`` of :func:`key_to_bytes`.
+    """
+    if not set(map(type, keys)) <= {int, type(None)}:
+        return None
+    slots = np.fromiter(keys, dtype=object, count=len(keys))
+    occupied = slots != None  # noqa: E711 (element-wise, not identity)
+    try:
+        values = slots[occupied].astype(np.int64)
+    except OverflowError:
+        return None
+    if values.size and (int(values.min()) < 0 or int(values.max()) >= 2**31):
+        return None
+    return {
+        "tags": np.where(occupied, np.uint8(KEY_TAG_INT), np.uint8(KEY_TAG_NONE)),
+        "lengths": np.where(occupied, np.uint32(4), np.uint32(0)),
+        "blob": (values << 1).astype("<u4").view(np.uint8),
+    }
+
+
+def _keys_to_arrays_per_key(keys: Sequence[object | None]) -> dict[str, np.ndarray]:
+    """The per-key encoding: every key type, and the fast path's reference."""
     count = len(keys)
     tags = np.empty(count, dtype=np.uint8)
     encodings: list[bytes] = []
@@ -122,7 +159,11 @@ def keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray]:
 def keys_from_arrays(
     tags: np.ndarray, lengths: np.ndarray, blob: np.ndarray
 ) -> list[object | None]:
-    """Inverse of :func:`keys_to_arrays`; malformed input raises ``ValueError``."""
+    """Inverse of :func:`keys_to_arrays`; malformed input raises ``ValueError``.
+
+    When every ``INT`` slot is 4 bytes long and every ``NONE`` slot empty,
+    the keys decode with whole-array operations; otherwise per key.
+    """
     tags = np.asarray(tags, dtype=np.uint8)
     lengths = np.asarray(lengths, dtype=np.uint32)
     if tags.shape != lengths.shape:
@@ -130,6 +171,23 @@ def keys_from_arrays(
     raw = np.asarray(blob, dtype=np.uint8).tobytes()
     if int(lengths.sum()) != len(raw):
         raise ValueError("key blob does not match the encoded lengths")
+    is_int = tags == KEY_TAG_INT
+    if (
+        np.all(is_int | (tags == KEY_TAG_NONE))
+        and np.all(lengths == np.where(is_int, 4, 0))
+    ):
+        # Zigzag-decode every 4-byte encoding at once (negative keys too).
+        encoded = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        keys = np.full(len(tags), None, dtype=object)
+        keys[is_int] = np.where(encoded & 1, -(encoded >> 1), encoded >> 1).astype(object)
+        return keys.tolist()
+    return _keys_from_arrays_per_key(tags, lengths, raw)
+
+
+def _keys_from_arrays_per_key(
+    tags: np.ndarray, lengths: np.ndarray, raw: bytes
+) -> list[object | None]:
+    """The per-key decoding: every key type, and the fast path's reference."""
     keys: list[object | None] = []
     position = 0
     for tag, length in zip(tags.tolist(), lengths.tolist()):
@@ -246,7 +304,7 @@ class EncodedKeyBatch:
 
         ``None`` for batches that did not take the fast path (mixed types,
         negative or oversized ints).  Used by the key interner to resolve
-        whole batches through one table gather.
+        whole batches through one table gather or one dict probe.
         """
         self.groups  # the fast-path probe runs with the one-time packing
         return self._int_array

@@ -15,6 +15,12 @@ entry per key caps it at 32 MiB, transiently up to twice that while a
 doubling re-allocation is in flight; everything else takes the dict path.
 Like the dict, it grows with the distinct keys ingested — the deliberate
 speed-for-memory trade of the batch datapath.
+
+Int batches intern in bulk on both sides of that limit: known keys
+resolve through one table gather or one C-level dict probe, and new keys
+take their first-contact ids through one ``dict.update``.  Restores use
+:meth:`KeyInterner.intern_many`, which never allocates the table, so a
+replica rebuilt from a snapshot carries only the dict.
 """
 
 from __future__ import annotations
@@ -163,20 +169,18 @@ class KeyInterner:
         """Ids for a whole batch as ``int64``, assigning new ids in order.
 
         ``int_keys`` is the batch's vectorized int-key array when the
-        encoding fast path applies (``EncodedKeyBatch.int_key_array``);
-        with it, known keys resolve through one table gather.
+        encoding fast path applies (``EncodedKeyBatch.int_key_array``:
+        every key a plain ``int`` in ``[0, 2^31)``); with it, known keys
+        resolve through one table gather, or, above the table's key limit,
+        one dict probe, and new keys assign in bulk.
         """
         if int_keys is not None and int_keys.size and int(int_keys.max()) < _TABLE_KEY_LIMIT:
             table = self._ensure_table(int(int_keys.max()))
             ids = table[int_keys]
             missing = np.flatnonzero(ids < 0)
             if missing.size:
-                if (
-                    self.max_keys is None
-                    and self.on_assign is None
-                    and self._last_touch is None
-                ):
-                    self._assign_batch(int_keys, ids, missing, table)
+                if self.max_keys is None and self.on_assign is None:
+                    self._assign_batch(keys, int_keys, ids, missing)
                 else:
                     # Bounded / hooked interners take the scalar path so
                     # eviction, overflow and assignment hooks fire per key.
@@ -190,6 +194,8 @@ class KeyInterner:
                         ids[position] = item_id
             self._touch_batch(ids)
             return ids
+        if int_keys is not None and self._bulk_assigns():
+            return self._intern_ints(keys, int_keys)
         ids = list(map(self._ids.get, keys))
         if None in ids:
             get = self._ids.get
@@ -204,45 +210,102 @@ class KeyInterner:
         self._touch_batch(id_array)
         return id_array
 
+    def intern_many(self, keys: Sequence[object]) -> np.ndarray:
+        """Ids of ``keys`` exactly as one :meth:`intern` call per key assigns them.
+
+        Same ids, same overflow point and the same LRU touch clock as that
+        loop, and like it this never allocates the id table — a restored
+        replica must not pay for one.  An unbounded, unhooked interner
+        resolves a batch of plain ``int`` keys through the bulk path.
+        """
+        if self._bulk_assigns() and set(map(type, keys)) == {int}:
+            try:
+                int_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
+            except OverflowError:
+                pass
+            else:
+                return self._intern_ints(keys, int_keys)
+        return np.fromiter(map(self.intern, keys), dtype=np.int64, count=len(keys))
+
+    def _bulk_assigns(self) -> bool:
+        """Whether new keys may take :meth:`_assign_new`.
+
+        Only for the unhooked, unbounded interner (no ``max_keys``, hence no
+        LRU clock, no ``on_assign``) that has only ever seen plain ``int``
+        keys: ids are then dense stream-order integers with no per-key side
+        effect, and no ``==``-equal non-int alias can hide a key from the
+        id table.
+        """
+        return self.max_keys is None and self.on_assign is None and self._int_only
+
+    def _intern_ints(self, keys: Sequence[object], int_keys: np.ndarray) -> np.ndarray:
+        """Bulk interning of plain ``int`` keys through one C-level dict probe."""
+        ids = np.fromiter(
+            map(self._ids.get, keys, repeat(UNKNOWN_ID)), dtype=np.int64, count=len(keys)
+        )
+        missing = np.flatnonzero(ids < 0)
+        if missing.size:
+            ids[missing] = self._assign_new(keys, int_keys, missing)
+        return ids
+
+    def _assign_new(
+        self, keys: Sequence[object], int_keys: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Assign ids to the brand-new plain-int keys at ``positions``; return them.
+
+        Each distinct key takes the next dense id at its first occurrence —
+        the ids a loop of :meth:`intern` calls hands out.  The dict and
+        ``id_to_key`` store the caller's own key objects, so other holders
+        of the batch (a service's key directory, say) share one object per
+        key instead of each keeping a copy.  The id table is written where
+        it already covers a key and never allocated here: it must stay a
+        faithful cache of the dict, because the table path treats a miss as
+        a brand-new key.
+        """
+        new_keys = list(map(keys.__getitem__, positions.tolist()))
+        fresh = list(dict.fromkeys(new_keys))
+        start = len(self.id_to_key)
+        self._ids.update(zip(fresh, range(start, start + len(fresh))))
+        self.id_to_key.extend(fresh)
+        ids = np.fromiter(map(self._ids.__getitem__, new_keys), dtype=np.int64, count=len(new_keys))
+        table = self._table
+        if table is not None:
+            new_ints = int_keys[positions]
+            covered = (new_ints >= 0) & (new_ints < len(table))
+            table[new_ints[covered]] = ids[covered]
+        return ids
+
     def _assign_batch(
         self,
+        keys: Sequence[object],
         int_keys: np.ndarray,
         ids: np.ndarray,
         missing: np.ndarray,
-        table: np.ndarray,
     ) -> None:
-        """Bulk-assign the batch's table misses in first-contact order.
+        """Assign the batch's table misses in first-contact order.
 
-        Only for the unhooked, unbounded interner (no ``max_keys``, no
-        ``on_assign``, no LRU clock): ids are dense stream-order integers,
-        so each distinct new key takes the next id at its first occurrence.
-        While the interner has only ever seen plain ``int`` keys
-        (``_int_only``), a table miss is provably a brand-new key, so the
-        whole batch of misses assigns through bulk ``dict.update`` /
-        ``list.extend``; otherwise the dict is consulted per distinct key —
-        a miss may be a key interned under an ``==``-equal non-int object.
+        For the unhooked, unbounded interner.  While it has only ever seen
+        plain ``int`` keys (``_int_only``), a table miss is provably a
+        brand-new key, so the misses take the bulk :meth:`_assign_new`;
+        otherwise the dict is consulted per distinct key — a miss may be a
+        key interned under an ``==``-equal non-int object.
         """
+        if self._int_only:
+            ids[missing] = self._assign_new(keys, int_keys, missing)
+            return
+        table = self._table
         miss_keys = int_keys[missing]
         uniq, first_seen = np.unique(miss_keys, return_index=True)
-        contact_order = np.argsort(first_seen, kind="stable")
-        if self._int_only:
-            new_keys = uniq[contact_order]
-            start = len(self.id_to_key)
-            key_list = new_keys.tolist()
-            self._ids.update(zip(key_list, range(start, start + len(key_list))))
-            self.id_to_key.extend(key_list)
-            table[new_keys] = np.arange(start, start + len(key_list), dtype=np.int64)
-        else:
-            get = self._ids.get
-            ids_map = self._ids
-            id_to_key = self.id_to_key
-            for key in uniq[contact_order].tolist():
-                item_id = get(key)
-                if item_id is None:
-                    item_id = len(id_to_key)
-                    ids_map[key] = item_id
-                    id_to_key.append(key)
-                table[key] = item_id
+        get = self._ids.get
+        ids_map = self._ids
+        id_to_key = self.id_to_key
+        for key in uniq[np.argsort(first_seen, kind="stable")].tolist():
+            item_id = get(key)
+            if item_id is None:
+                item_id = len(id_to_key)
+                ids_map[key] = item_id
+                id_to_key.append(key)
+            table[key] = item_id
         ids[missing] = table[miss_keys]
 
     def _touch_batch(self, ids: np.ndarray) -> None:

@@ -65,6 +65,7 @@ from repro.distributed.wire import (
     MSG_QUERY_REPLY,
     MSG_SHUTDOWN,
     STATUS_BUSY,
+    FrameTooLargeError,
     WireFormatError,
     decode_batch,
     decode_query_request,
@@ -324,7 +325,7 @@ class AsyncSketchServer:
                     bytes(buffer[:FRAME_HEADER_SIZE])
                 )
             except WireFormatError as error:
-                if "bound" in str(error):
+                if isinstance(error, FrameTooLargeError):
                     self.stats.oversized_rejected += 1
                 else:
                     self.stats.frame_errors += 1

@@ -175,17 +175,17 @@ class SketchService:
             # direction that loses acknowledged state.
             self._store.append_batch(keys, values)
         if self._track_keys:
-            directory = self._keys
-            for key in keys:
-                # Numpy scalars (an ndarray batch) are stored as native ints:
-                # directory keys are re-queried later as a mixed python list
-                # (ranking, change detection), and the scalar key encoder
-                # only accepts native types.
-                if isinstance(key, np.generic):
-                    key = key.item()
-                directory[key] = None
+            # Numpy scalars (an ndarray batch) are stored as native ints:
+            # directory keys are re-queried later as a mixed python list
+            # (ranking, change detection), and the scalar key encoder only
+            # accepts native types.  The type screen runs at C speed, and so
+            # does the first-contact-ordered merge of the batch.
+            tracked = keys
+            if any(issubclass(kind, np.generic) for kind in set(map(type, keys))):
+                tracked = [key.item() if isinstance(key, np.generic) else key for key in keys]
+            self._keys.update(dict.fromkeys(tracked))
             cap = self.max_tracked_keys
-            if cap is not None and len(directory) > cap + max(64, cap // 8):
+            if cap is not None and len(self._keys) > cap + max(64, cap // 8):
                 self._prune_directory()
         self._writer.ingest(keys, values)
 

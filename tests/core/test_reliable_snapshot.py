@@ -15,9 +15,12 @@ import pytest
 from repro.core import ReliableSketch
 from repro.distributed.ingest import run_distributed_ingest
 from repro.distributed.wire import decode_state, encode_state
+from repro.hashing.families import _keys_from_arrays_per_key, _keys_to_arrays_per_key
+from repro.kernels.interning import KeyInterner
 from repro.sketches.base import UnmergeableSketchError
 from repro.sketches.registry import build_sketch
 from repro.sketches.sharded import ShardedSketch
+from repro.store.format import encode_snapshot_file
 from repro.streams.synthetic import zipf_stream
 
 MEMORY = 32 * 1024
@@ -201,3 +204,76 @@ def test_unsnapshotable_shards_refuse():
         sharded.state_snapshot()
     with pytest.raises(UnmergeableSketchError):
         sharded.state_restore({})
+
+
+# ------------------------------------------------ array-speed snapshot path
+def per_key_restore(state, depth, **bounds):
+    """What a per-key restore loop builds: the interner and each layer's ids."""
+    interner = KeyInterner(**bounds)
+    layer_ids = []
+    for index in range(depth):
+        keys = _keys_from_arrays_per_key(
+            state[f"layer{index}_key_tags"],
+            state[f"layer{index}_key_lengths"],
+            state[f"layer{index}_key_blob"].tobytes(),
+        )
+        layer_ids.append([-1 if key is None else interner.intern(key) for key in keys])
+    return interner, layer_ids
+
+
+@pytest.mark.parametrize("name", ("Ours", "Coco", "HashPipe", "PRECISION"))
+def test_snapshot_bytes_equal_the_per_key_codec(name, monkeypatch):
+    """A fixed stream's snapshot file is byte-identical on both codec paths."""
+    import repro.core.reliable_sketch as reliable_module
+    import repro.sketches.coco as coco_module
+    import repro.sketches.hashpipe as hashpipe_module
+    import repro.sketches.precision as precision_module
+
+    sketch = build_sketch(name, MEMORY, seed=3)
+    keys = (zipf_stream(6000, skew=1.1, universe=4000, seed=9).keys())
+    sketch.insert_batch([(key * 2654435761) % 2**31 for key in keys])
+    fast = encode_snapshot_file(sketch.state_snapshot(), name)
+    for module in (reliable_module, coco_module, hashpipe_module, precision_module):
+        monkeypatch.setattr(module, "keys_to_arrays", _keys_to_arrays_per_key)
+    assert encode_snapshot_file(sketch.state_snapshot(), name) == fast
+
+
+def test_restored_replica_builds_no_id_table():
+    """Candidate keys below 2^22 must not make every replica allocate a table."""
+    donor = build_sketch("Ours", MEMORY, seed=0)
+    donor.insert_batch(list(range(3000)) * 3)
+    assert donor._interner._table is not None  # the live path does use one
+    replica = build_sketch("Ours", MEMORY, seed=0)
+    replica.state_restore(donor.state_snapshot())
+    assert replica._interner._table is None
+    keys = list(range(3100))
+    assert (replica.query_batch(keys) == donor.query_batch(keys)).all()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    ({}, {"max_keys": 4000}, {"max_keys": 4000, "evict": "lru"},
+     {"max_keys": 64, "evict": "lru"}),
+    ids=("unbounded", "bounded", "lru", "lru-evicting"),
+)
+def test_restore_interns_like_the_per_key_loop(bounds):
+    """Same ids, same touch clock as interning candidates one by one."""
+    donor, stream = filled()
+    state = donor.state_snapshot()
+    replica = build_sketch(
+        "Ours", MEMORY, seed=0,
+        max_interned_keys=bounds.get("max_keys"),
+        interner_eviction=bounds.get("evict"),
+    )
+    replica.state_restore(state)
+    expected, layer_ids = per_key_restore(state, donor.depth, **bounds)
+    restored = replica._interner
+    assert restored.id_to_key == expected.id_to_key
+    assert restored._ids == expected._ids
+    assert restored._touch_clock == expected._touch_clock
+    if expected._last_touch is not None:
+        assert restored._last_touch.tolist() == expected._last_touch.tolist()
+    assert [layer.key_ids.tolist() for layer in replica._layers] == layer_ids
+    if bounds.get("max_keys") != 64:
+        keys = stream.keys()
+        assert (replica.query_batch(keys) == donor.query_batch(keys)).all()

@@ -240,6 +240,21 @@ def test_oversized_frames_rejected_at_both_ends():
     assert (msg_type, length) == (MSG_BATCH, wire.MAX_PAYLOAD_BYTES)
 
 
+def test_oversized_frames_raise_the_typed_subclass():
+    """Callers classify an oversized frame by type, not by message text."""
+    with pytest.raises(wire.FrameTooLargeError):
+        encode_frame(MSG_BATCH, bytes(wire.MAX_PAYLOAD_BYTES + 1))
+    hostile = wire._FRAME_HEADER.pack(
+        wire.MAGIC, wire.WIRE_VERSION, MSG_BATCH, wire.MAX_PAYLOAD_BYTES + 1
+    )
+    with pytest.raises(wire.FrameTooLargeError):
+        wire.parse_frame_header(hostile)
+    bad_magic = wire._FRAME_HEADER.pack(b"XX", wire.WIRE_VERSION, MSG_BATCH, 8)
+    with pytest.raises(WireFormatError) as raised:
+        wire.parse_frame_header(bad_magic)
+    assert type(raised.value) is WireFormatError
+
+
 def test_busy_query_reply_round_trips():
     """v2 replies carry a status byte; BUSY replies carry no body."""
     from repro.distributed.wire import (

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.hashing import EncodedKeyBatch
 from repro.kernels.interning import KeyInterner, KeyInternerOverflowError
 from repro.sketches.registry import build_sketch
 
@@ -153,3 +155,96 @@ def test_sketch_level_lru_ingests_beyond_the_bound(name):
     assert len(sketch._interner) <= 50
     # Recently interned keys still answer through the batch path.
     assert sketch.query_batch(list(range(450, 500))).shape == (50,)
+
+
+# ------------------------------------------------------------ bulk interning
+TABLE_LIMIT = 1 << 22
+
+small_keys = st.integers(min_value=0, max_value=TABLE_LIMIT - 1)
+large_keys = st.integers(min_value=TABLE_LIMIT, max_value=2**31 - 1)
+# A narrow band on each side of the limit forces repeats within and across
+# batches, so known keys, in-batch duplicates and brand-new keys all mix.
+near_limit = st.integers(min_value=TABLE_LIMIT - 40, max_value=TABLE_LIMIT + 40)
+int_batches = st.lists(
+    st.lists(st.one_of(small_keys, large_keys, near_limit, st.integers(0, 50)),
+             min_size=1, max_size=40),
+    min_size=1, max_size=6,
+)
+
+
+def assert_faithful_table(interner: KeyInterner) -> None:
+    """Every id-table entry agrees with the dict; every covered key is cached."""
+    table = interner._table
+    if table is None:
+        return
+    for key, item_id in interner._ids.items():
+        if key < len(table):
+            assert table[key] == item_id
+    cached = np.flatnonzero(table >= 0)
+    assert all(interner._ids[int(key)] == table[key] for key in cached)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=int_batches, prime_table=st.booleans())
+def test_bulk_interning_matches_the_scalar_loop(batches, prime_table):
+    """Ids equal the scalar loop's first-contact order on both sides of 2^22."""
+    bulk, many, scalar = KeyInterner(), KeyInterner(), KeyInterner()
+    if prime_table:
+        # An existing id table that the later batches must keep in sync.
+        prime = [3, 1, 4, 1, 5]
+        bulk.intern_batch(prime, EncodedKeyBatch(prime).int_key_array)
+        many.intern_batch(prime, EncodedKeyBatch(prime).int_key_array)
+        for key in prime:
+            scalar.intern(key)
+    for batch in batches:
+        expected = [scalar.intern(key) for key in batch]
+        got = bulk.intern_batch(batch, EncodedKeyBatch(batch).int_key_array)
+        assert got.tolist() == expected
+        assert many.intern_many(batch).tolist() == expected
+        assert_faithful_table(bulk)
+        assert_faithful_table(many)
+    assert bulk.id_to_key == many.id_to_key == scalar.id_to_key
+    assert bulk._ids == scalar._ids
+    assert (many._table is None) == (not prime_table)
+
+
+@pytest.mark.parametrize("prime_table", (False, True))
+@pytest.mark.parametrize("base", (1000, 2**30))
+def test_interner_stores_the_callers_key_objects(base, prime_table):
+    """No copies: ``id_to_key[i]`` is the object of the key's first contact."""
+    first = [int(str(base + i)) for i in range(6)]
+    again = [int(str(base + i)) for i in range(6)]  # equal, distinct objects
+    keys = first + again
+    interner = KeyInterner()
+    if prime_table:
+        interner.intern_batch([7], np.asarray([7], dtype=np.int64))
+    interner.intern_batch(keys, EncodedKeyBatch(keys).int_key_array)
+    assert all(owner is key for owner, key in zip(interner.id_to_key[-6:], first))
+    fresh = KeyInterner()
+    fresh.intern_many(keys)
+    assert all(owner is key for owner, key in zip(fresh.id_to_key, first))
+    # Through a sketch's batch insert, too.
+    sketch = build_sketch("Ours", 16 * 1024, seed=0)
+    sketch.insert_batch(keys)
+    assert all(owner is key for owner, key in zip(sketch._interner.id_to_key, first))
+
+
+def test_intern_many_never_allocates_the_table():
+    interner = KeyInterner()
+    ids = interner.intern_many([5, 9, 5, 2**40, 2**70])
+    assert ids.tolist() == [0, 1, 0, 2, 3]
+    assert interner._table is None
+
+
+@pytest.mark.parametrize("bound, evict", ((4, None), (3, "lru")))
+def test_intern_many_keeps_the_scalar_loop_on_bounded_interners(bound, evict):
+    keys = [10, 11, 10, 12, 13, 11]
+    loop, many = KeyInterner(bound, evict), KeyInterner(bound, evict)
+    expected = [loop.intern(key) for key in keys]
+    assert many.intern_many(keys).tolist() == expected
+    assert many._ids == loop._ids and many.id_to_key == loop.id_to_key
+    if evict:
+        assert many._touch_clock == loop._touch_clock
+        assert many._last_touch.tolist() == loop._last_touch.tolist()
+    with pytest.raises(KeyInternerOverflowError):
+        KeyInterner(2).intern_many([1, 2, 3])

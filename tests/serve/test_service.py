@@ -142,6 +142,17 @@ def test_directory_unbounded_by_default():
     assert service.stats()["max_tracked_keys"] is None
 
 
+def test_directory_keeps_first_contact_order_and_native_keys():
+    import numpy as np
+
+    service = make_service(publish_every_items=10**9)
+    service.ingest([5, "b", 5, 9, "b"])
+    service.ingest(np.asarray([9, 11, 2, 11], dtype=np.int64))
+    service.ingest([2, 7, b"x", 13])
+    assert list(service._keys) == [5, "b", 9, 11, 2, 7, b"x", 13]
+    assert all(not isinstance(key, np.generic) for key in service._keys)
+
+
 def test_directory_prune_waits_for_the_slack():
     # Pruning is amortized: it fires only past cap + max(64, cap // 8), so
     # a directory hovering at the cap is not re-sorted on every batch.
