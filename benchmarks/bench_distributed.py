@@ -236,16 +236,15 @@ def main(argv: list[str] | None = None) -> int:
     algorithms = tuple(name for name in args.algorithms.split(",") if name)
 
     stream = zipf_stream(args.count, skew=args.skew, seed=args.seed + 1)
-    items = [(item.key, item.value) for item in stream]
     keys = stream.keys()
     counts = stream.counts()
     truth = np.asarray([counts[key] for key in keys], dtype=np.int64)
     print(
-        f"stream: {len(items)} items, {len(keys)} distinct keys, skew {args.skew}; "
+        f"stream: {len(stream)} items, {len(keys)} distinct keys, skew {args.skew}; "
         f"{args.workers} workers, chunk {args.chunk_size}, cpu_count={os.cpu_count()}"
     )
 
-    serialization = bench_serialization(items, args.chunk_size)
+    serialization = bench_serialization(stream, args.chunk_size)
     print(
         f"wire: encode {serialization['encode_items_per_s']:,.0f} items/s, "
         f"decode {serialization['decode_items_per_s']:,.0f} items/s, "
@@ -260,12 +259,12 @@ def main(argv: list[str] | None = None) -> int:
             lambda chunk, s=single: s.insert_batch(
                 [key for key, _ in chunk], [value for _, value in chunk]
             ),
-            items,
+            stream,
             args.chunk_size,
         )
         for transport in transports:
             row = bench_transport(
-                transport, name, items, keys, truth, single,
+                transport, name, stream, keys, truth, single,
                 single_insert.ops_per_second,
                 args.memory_bytes, args.workers, args.chunk_size, args.seed,
             )
@@ -284,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     reshard_rows = []
     for name in algorithms:
         row = bench_reshard(
-            name, items, keys, args.memory_bytes, args.workers, partitions,
+            name, stream, keys, args.memory_bytes, args.workers, partitions,
             args.chunk_size, args.seed,
         )
         reshard_rows.append(row)

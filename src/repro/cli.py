@@ -391,6 +391,7 @@ def _cmd_query(args) -> None:
 
     from repro.distributed.transport import connect_worker
     from repro.serve.server import QueryClient
+    from repro.streams.items import iter_key_value_chunks
     from repro.streams.synthetic import zipf_stream
 
     if not (args.keys or args.top_k or args.stats or args.count):
@@ -403,9 +404,8 @@ def _cmd_query(args) -> None:
         if args.count:
             skew = args.skew if args.skew is not None else 1.1
             stream = zipf_stream(args.count, skew=skew, seed=args.seed + 1)
-            for chunk_start in range(0, len(stream), 8192):
-                chunk = stream.items[chunk_start : chunk_start + 8192]
-                client.ingest([item.key for item in chunk], [item.value for item in chunk])
+            for keys, values in iter_key_value_chunks(stream, 8192):
+                client.ingest(keys, values)
             epoch = client.flush()
             print(f"ingested {len(stream)} items; service now at epoch {epoch}")
         if args.keys:

@@ -83,7 +83,9 @@ from repro.sketches.sharded import (
     partition_positions,
     partition_router,
 )
-from repro.streams.items import chunked
+# ``chunked`` stays a name of this module: the traced pipeline benchmark
+# wraps ``ingest.chunked`` by attribute.
+from repro.streams.items import chunked, iter_key_value_chunks  # noqa: F401
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.store depends on wire
     from repro.store import PartitionStore
@@ -261,8 +263,8 @@ class IngestCoordinator:
 
     def send_stream(self, items: Iterable, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         """Chunk an iterable of ``(key, value)`` pairs through :meth:`send_batch`."""
-        for chunk in chunked(items, chunk_size):
-            self.send_batch([key for key, _ in chunk], [value for _, value in chunk])
+        for keys, values in iter_key_value_chunks(items, chunk_size):
+            self.send_batch(keys, values)
 
     def collect(self) -> tuple[list[Sketch], list[dict]]:
         """Snapshot every worker and restore the states into local replicas.
@@ -969,8 +971,8 @@ class DynamicIngestCoordinator:
 
     def send_stream(self, items: Iterable, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         """Chunk an iterable of ``(key, value)`` pairs through :meth:`send_batch`."""
-        for chunk in chunked(items, chunk_size):
-            self.send_batch([key for key, _ in chunk], [value for _, value in chunk])
+        for keys, values in iter_key_value_chunks(items, chunk_size):
+            self.send_batch(keys, values)
 
     # -- snapshots / checkpoints ---------------------------------------------
 
@@ -1440,13 +1442,11 @@ def run_dynamic_ingest(
     )
     try:
         start = time.perf_counter()
-        for index, chunk in enumerate(chunked(items, chunk_size)):
+        for index, (keys, values) in enumerate(iter_key_value_chunks(items, chunk_size)):
             if actions and index in actions:
                 actions[index](coordinator)
             coordinator.maybe_ping()
-            coordinator.send_batch(
-                [key for key, _ in chunk], [value for _, value in chunk]
-            )
+            coordinator.send_batch(keys, values)
         partition_sketches, metas = coordinator.collect()
         ingest_seconds = time.perf_counter() - start
         bytes_sent = coordinator.bytes_sent

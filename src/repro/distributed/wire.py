@@ -19,9 +19,10 @@ Two payload families do the real work:
   the batch datapath (``EncodedKeyBatch.encoded`` — the ``key_to_bytes``
   forms, which are reversible given a one-byte type tag), so the decoder
   rebuilds an :class:`~repro.hashing.EncodedKeyBatch` *without re-encoding a
-  single key*.  Batches of small non-negative ints (the paper's 32-bit flow
-  IDs) take a denser vectorized path: one ``uint32`` array, no per-key work
-  on either side.
+  single key*.  Int batches take array paths with no per-key work on either
+  side: small non-negative ints (the paper's 32-bit flow IDs) ship as one
+  ``uint32`` array, other int64 keys as tagged slots written and read by
+  the whole-array int codec of ``repro.hashing.families``.
 * **State payloads** (:func:`encode_state` / :func:`decode_state`) carry a
   sketch's table state (the :meth:`~repro.sketches.base.Sketch.state_snapshot`
   arrays) as a JSON header plus raw C-order array bytes — the collector
@@ -45,7 +46,11 @@ from repro.hashing.families import (
     KEY_TAG_BYTES,
     KEY_TAG_INT,
     KEY_TAG_STR,
+    decode_int_keys,
     decode_zigzag_int,
+    encode_int_keys,
+    key_to_bytes,
+    pack_int_keys,
 )
 
 MAGIC = b"RS"
@@ -205,37 +210,54 @@ def _append_key_block(parts: list[bytes], batch: EncodedKeyBatch) -> None:
     """Append the key block of ``batch`` (mode byte + packed keys) to ``parts``.
 
     Shared by batch payloads and the serving layer's query frames, so every
-    frame family ships keys in the same packed encodings.
+    frame family ships keys in the same packed encodings.  Int batches (an
+    integer ndarray, or a list of plain ints, in ``(-2^63, 2^63)``) encode
+    with array operations: the ``uint32`` mode inside ``[0, 2^31)``, the
+    tagged mode's tags, lengths and blob otherwise.  Every other batch is
+    screened by ``set(map(type, keys))`` and tagged per key.  Both paths
+    write the same bytes.
     """
     count = len(batch)
-    if all(type(key) is int and 0 <= key < 2**31 for key in batch.keys):
+    ints = batch.int64_keys
+    if ints is not None and (not count or (int(ints.min()) >= 0 and int(ints.max()) < 2**31)):
         parts.append(bytes([_KEYS_INT32]))
-        parts.append(np.asarray(batch.keys, dtype="<u4").tobytes())
-    else:
-        # Tag before touching the encodings: an unsupported key type must
-        # surface as a WireFormatError, not a hashing-layer TypeError.
-        tags = bytearray(count)
-        for position, key in enumerate(batch.keys):
-            if isinstance(key, bytes):
-                tags[position] = _TAG_BYTES
-            elif isinstance(key, str):
-                tags[position] = _TAG_STR
-            elif isinstance(key, int):
-                tags[position] = _TAG_INT
-            else:
-                raise WireFormatError(f"unsupported key type: {type(key)!r}")
-        encoded = batch.encoded
-        lengths = np.fromiter(
-            (len(blob) for blob in encoded), dtype="<u4", count=count
-        )
-        parts.append(bytes([_KEYS_TAGGED]))
-        parts.append(bytes(tags))
-        parts.append(lengths.tobytes())
-        parts.append(b"".join(encoded))
+        parts.append(ints.astype("<u4").tobytes())
+        return
+    parts.append(bytes([_KEYS_TAGGED]))
+    if ints is not None:
+        lengths, rows = encode_int_keys(ints)
+        parts.append(bytes([_TAG_INT]) * count)
+        parts.append(lengths.astype("<u4").tobytes())
+        parts.append(pack_int_keys(lengths, rows).tobytes())
+        return
+    # Tag before touching the encodings: an unsupported key type must
+    # surface as a WireFormatError, not a hashing-layer TypeError.
+    keys = batch.keys
+    tag_of = {}
+    for kind in set(map(type, keys)):
+        if issubclass(kind, bytes):
+            tag_of[kind] = _TAG_BYTES
+        elif issubclass(kind, str):
+            tag_of[kind] = _TAG_STR
+        elif issubclass(kind, int):
+            tag_of[kind] = _TAG_INT
+        else:
+            raise WireFormatError(f"unsupported key type: {kind!r}")
+    encoded = batch.encoded
+    parts.append(bytes(map(tag_of.__getitem__, map(type, keys))))
+    parts.append(np.fromiter(map(len, encoded), dtype="<u4", count=count).tobytes())
+    parts.append(b"".join(encoded))
 
 
 def _read_key_block(read, count: int) -> EncodedKeyBatch:
-    """Inverse of :func:`_append_key_block` over a payload ``read`` cursor."""
+    """Inverse of :func:`_append_key_block` over a payload ``read`` cursor.
+
+    A tagged block whose slots are all ``INT`` of at most 8 bytes decodes
+    with array operations into an int batch; any other tagged block per
+    key.  On both paths an ``INT`` slot must hold exactly ``key_to_bytes``
+    of its value: the receiver hashes the key's own encoding, so a padded
+    or truncated slot would make remote answers differ from local ones.
+    """
     key_mode = read(1)[0]
     if key_mode == _KEYS_INT32:
         raw = np.frombuffer(read(4 * count), dtype="<u4")
@@ -246,12 +268,21 @@ def _read_key_block(read, count: int) -> EncodedKeyBatch:
         tags = read(count)
         lengths = np.frombuffer(read(4 * count), dtype="<u4")
         blob = read(int(lengths.sum()))
+        if count and tags.count(_TAG_INT) == count and int(lengths.max()) <= 8:
+            ints = decode_int_keys(lengths, np.frombuffer(blob, dtype=np.uint8))
+            canonical_lengths, rows = encode_int_keys(ints)
+            if (
+                not np.array_equal(canonical_lengths, lengths)
+                or pack_int_keys(canonical_lengths, rows).tobytes() != blob
+            ):
+                raise WireFormatError("non-canonical int key encoding")
+            return EncodedKeyBatch(ints)
         keys: list[object] = []
         encoded: list[bytes] = []
         position = 0
-        for tag, length in zip(tags, lengths):
-            piece = blob[position : position + int(length)]
-            position += int(length)
+        for tag, length in zip(tags, lengths.tolist()):
+            piece = blob[position : position + length]
+            position += length
             encoded.append(piece)
             if tag == _TAG_BYTES:
                 keys.append(piece)
@@ -261,7 +292,10 @@ def _read_key_block(read, count: int) -> EncodedKeyBatch:
                 except UnicodeDecodeError as error:
                     raise WireFormatError(f"malformed str key: {error}") from None
             elif tag == _TAG_INT:
-                keys.append(decode_zigzag_int(piece))
+                key = decode_zigzag_int(piece)
+                if key_to_bytes(key) != piece:
+                    raise WireFormatError("non-canonical int key encoding")
+                keys.append(key)
             else:
                 raise WireFormatError(f"unknown key tag {tag}")
         return EncodedKeyBatch(keys, _encoded=encoded)
@@ -322,10 +356,10 @@ def encode_batch(
 def decode_batch(payload: bytes) -> tuple[EncodedKeyBatch, np.ndarray]:
     """Inverse of :func:`encode_batch`: ``(EncodedKeyBatch, int64 values)``.
 
-    In the tagged mode the returned batch is seeded with the transmitted
-    per-key encodings, so the receiving sketch's hash kernels pack them
-    straight into matrices — the encoding work of the batch datapath is paid
-    once at the sender, never again.
+    A tagged block of int keys decodes into an int batch, which the
+    receiving sketch's hash kernels pack with whole-array operations; any
+    other tagged block is seeded with the transmitted per-key encodings, so
+    they are packed straight into matrices without re-encoding.
     """
     read, position = _payload_reader(payload)
     (count,) = struct.unpack(">I", read(4))

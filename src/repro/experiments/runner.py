@@ -198,12 +198,12 @@ def _fill_sketch_with_kernel(
     sketch = _sketch_factory(name, settings)(memory_bytes)
     if settings.epoch_items is not None:
         from repro.serve.snapshots import EpochWriter
-        from repro.streams.items import chunked
+        from repro.streams.items import iter_key_value_chunks
 
         writer = EpochWriter(sketch, publish_every_items=settings.epoch_items)
         chunk_size = settings.batch_size or settings.epoch_items
-        for chunk in chunked(stream, chunk_size):
-            writer.ingest([key for key, _ in chunk], [value for _, value in chunk])
+        for keys, values in iter_key_value_chunks(stream, chunk_size):
+            writer.ingest(keys, values)
         return writer.publish().sketch
     sketch.insert_stream(stream, batch_size=settings.batch_size)
     return sketch
@@ -404,8 +404,9 @@ class WindowedFill:
                 f"is before epoch {earlier_epoch} ({low} items)"
             )
         counts: dict = {}
-        for item in stream.items[low:high]:
-            counts[item.key] = counts.get(item.key, 0) + item.value
+        for key, value in zip(stream.key_array[low:high].tolist(),
+                              stream.value_array[low:high].tolist()):
+            counts[key] = counts.get(key, 0) + value
         return counts
 
 
@@ -429,7 +430,7 @@ def run_windowed_fill(
     workers, so ``settings.transport`` is rejected like ``epoch_items``.
     """
     from repro.serve.snapshots import EpochWriter
-    from repro.streams.items import chunked
+    from repro.streams.items import iter_key_value_chunks
 
     settings = settings or ExperimentSettings()
     if settings.transport is not None:
@@ -444,8 +445,8 @@ def run_windowed_fill(
             sketch, publish_every_items=epoch_items, on_publish=snapshots.append
         )
         chunk_size = settings.batch_size or epoch_items
-        for chunk in chunked(stream, chunk_size):
-            writer.ingest([key for key, _ in chunk], [value for _, value in chunk])
+        for keys, values in iter_key_value_chunks(stream, chunk_size):
+            writer.ingest(keys, values)
         final = writer.publish()
     if not snapshots or snapshots[-1].epoch_id != final.epoch_id:
         snapshots.append(final)

@@ -86,6 +86,110 @@ def key_from_bytes(tag: int, encoded: bytes) -> object | None:
     raise ValueError(f"unknown key tag {tag}")
 
 
+# ---------------------------------------------------------------------------
+# The whole-array int key codec.  An int64 key ``k`` encodes as the
+# little-endian bytes of its zigzag code ``(|k| << 1) | (k < 0)`` in the
+# fewest bytes that hold it, minimum 4 — exactly :func:`key_to_bytes`.  The
+# codec's domain is ``(-2^63, 2^63)``: ``-2^63`` has no uint64 code (its
+# negation wraps), so it stays on the per-key path with every other key the
+# arrays cannot hold (ints beyond int64, ``bool``, ``str``, ``bytes``).
+
+_INT64_MIN = -(2**63)
+#: Byte positions of one 8-byte code row, for the slot masks of the codec.
+_BYTE_POSITIONS = np.arange(8, dtype=np.uint32)
+
+
+def as_int64_keys(keys: Sequence[object] | np.ndarray) -> np.ndarray | None:
+    """``keys`` as one ``int64`` array when the int codec applies, else ``None``.
+
+    The codec applies when every key is a plain ``int`` in ``(-2^63, 2^63)``.
+    Arrays are screened by dtype: signed and unsigned integer arrays pass
+    (``uint64`` only below ``2^63``), ``bool`` and ``object`` arrays do not.
+    Sequences are screened at C speed by ``set(map(type, keys))`` (``bool``
+    and int subclasses fail it; ints beyond int64 fail the conversion).  An
+    ``int64`` array is returned as is, without a copy.
+    """
+    if isinstance(keys, np.ndarray):
+        kind = keys.dtype.kind
+        if kind == "u" and keys.dtype.itemsize == 8 and keys.size and int(keys.max()) >= 2**63:
+            return None
+        if kind not in "iu":
+            return None
+        ints = keys.astype(np.int64, copy=False)
+    else:
+        if not set(map(type, keys)) <= {int}:
+            return None
+        try:
+            ints = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        except OverflowError:
+            return None
+    if ints.size and int(ints.min()) == _INT64_MIN:
+        return None
+    return ints
+
+
+def encode_int_keys(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-array :func:`key_to_bytes` of int64 keys in ``(-2^63, 2^63)``.
+
+    Returns ``(lengths, rows)``: ``uint32`` encoded lengths (4 to 8) and an
+    ``(n, width)`` ``uint8`` matrix whose row ``i`` starts with the
+    ``lengths[i]`` bytes of ``key_to_bytes(ints[i])``.  ``width`` is 4 when
+    every encoding is 4 bytes long (the 32-bit flow IDs, packed by one
+    cast) and 8 otherwise.  :func:`pack_int_keys` concatenates the
+    encodings; inverse: :func:`decode_int_keys`.  ``-2^63`` raises
+    ``OverflowError``: its code does not fit 64 bits.
+    """
+    ints = np.asarray(ints, dtype=np.int64)
+    count = len(ints)
+    low = int(ints.min()) if count else 0
+    if low == _INT64_MIN:
+        raise OverflowError("-2^63 has no 64-bit zigzag code")
+    if low < 0:
+        codes = (np.abs(ints).view(np.uint64) << np.uint64(1)) | (ints < 0).view(np.uint8)
+    else:
+        codes = ints.view(np.uint64) << np.uint64(1)
+    top = int(codes.max()) if count else 0
+    lengths = np.full(count, 4, dtype=np.uint32)
+    if top < 1 << 32:
+        return lengths, codes.astype("<u4").view(np.uint8).reshape(count, 4)
+    for bits in (32, 40, 48, 56):
+        if top < 1 << bits:
+            break
+        lengths += codes >= np.uint64(1 << bits)
+    return lengths, codes.astype("<u8", copy=False).view(np.uint8).reshape(count, 8)
+
+
+def pack_int_keys(lengths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The concatenated encodings of :func:`encode_int_keys` as one ``uint8`` array."""
+    if rows.shape[1] == 4:
+        return rows.ravel()
+    return rows[_BYTE_POSITIONS < lengths[:, None]]
+
+
+def decode_int_keys(lengths: np.ndarray, blob: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_int_keys` for int slots of up to 8 bytes.
+
+    ``blob`` is the concatenation of one zigzag encoding per slot, slot
+    ``i`` ``lengths[i]`` bytes long (its size must be ``lengths.sum()``).
+    Returns the ``int64`` keys.  A slot decodes to its key's value whether
+    or not it holds exactly :func:`key_to_bytes` of that key (a padded or
+    short slot, or the code of ``-0``, does not); callers that go on to
+    hash the key compare the slots with :func:`encode_int_keys` of it.
+    """
+    lengths = np.asarray(lengths)
+    blob = np.asarray(blob, dtype=np.uint8)
+    if blob.size == 4 * len(lengths) and (not lengths.size or lengths.max() == 4):
+        # Every slot 4 bytes long (the 32-bit flow IDs): one cast.
+        codes = blob.view("<u4").astype(np.int64)
+        half = codes >> 1
+    else:
+        rows = np.zeros((len(lengths), 8), dtype=np.uint8)
+        rows[_BYTE_POSITIONS < lengths[:, None]] = blob
+        codes = rows.view("<u8").reshape(len(lengths))
+        half = (codes >> np.uint64(1)).astype(np.int64)
+    return np.where(codes & 1, -half, half)
+
+
 def keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray]:
     """Serialize a key list (``None`` allowed) into three plain arrays.
 
@@ -96,38 +200,40 @@ def keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray]:
     distributed wire format ships as raw array bytes.  Inverse:
     :func:`keys_from_arrays`.
 
-    Lists of plain ints in ``[0, 2^31)`` and ``None`` (32-bit flow IDs and
-    empty buckets) encode with whole-array operations; any other list takes
-    the per-key path.  Both produce the same bytes.
+    Lists of plain ints in ``(-2^63, 2^63)`` and ``None`` (flow IDs and
+    empty buckets) encode through the whole-array int codec; any other list
+    takes the per-key path.  Both produce the same bytes.
     """
-    arrays = _small_int_keys_to_arrays(keys)
+    arrays = _int_keys_to_arrays(keys)
     if arrays is None:
         arrays = _keys_to_arrays_per_key(keys)
     return arrays
 
 
-def _small_int_keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray] | None:
-    """The whole-array encoding, or ``None`` when a key is not a small int.
-
-    The type screen runs at C speed (``bool`` and int subclasses fail it);
-    ints beyond ``int64`` fail the array conversion, and negative or
-    ``>= 2^31`` ones the bounds check.  Each key ``k`` encodes as the
-    4-byte little-endian ``k << 1`` of :func:`key_to_bytes`.
-    """
-    if not set(map(type, keys)) <= {int, type(None)}:
+def _int_keys_to_arrays(keys: Sequence[object | None]) -> dict[str, np.ndarray] | None:
+    """The whole-array encoding, or ``None`` when a key is outside the int codec."""
+    types = set(map(type, keys))
+    if not types <= {int, type(None)}:
         return None
+    if int not in types:
+        # Every slot empty, like most upper layers of a ReliableSketch.
+        return {
+            "tags": np.full(len(keys), KEY_TAG_NONE, dtype=np.uint8),
+            "lengths": np.zeros(len(keys), dtype=np.uint32),
+            "blob": np.zeros(0, dtype=np.uint8),
+        }
     slots = np.fromiter(keys, dtype=object, count=len(keys))
     occupied = slots != None  # noqa: E711 (element-wise, not identity)
     try:
-        values = slots[occupied].astype(np.int64)
-    except OverflowError:
+        int_lengths, rows = encode_int_keys(slots[occupied].astype(np.int64))
+    except OverflowError:  # beyond int64, or -2^63
         return None
-    if values.size and (int(values.min()) < 0 or int(values.max()) >= 2**31):
-        return None
+    lengths = np.zeros(len(keys), dtype=np.uint32)
+    lengths[occupied] = int_lengths
     return {
         "tags": np.where(occupied, np.uint8(KEY_TAG_INT), np.uint8(KEY_TAG_NONE)),
-        "lengths": np.where(occupied, np.uint32(4), np.uint32(0)),
-        "blob": (values << 1).astype("<u4").view(np.uint8),
+        "lengths": lengths,
+        "blob": pack_int_keys(int_lengths, rows),
     }
 
 
@@ -161,8 +267,9 @@ def keys_from_arrays(
 ) -> list[object | None]:
     """Inverse of :func:`keys_to_arrays`; malformed input raises ``ValueError``.
 
-    When every ``INT`` slot is 4 bytes long and every ``NONE`` slot empty,
-    the keys decode with whole-array operations; otherwise per key.
+    When every ``INT`` slot is at most 8 bytes long and every ``NONE`` slot
+    empty, the keys decode through :func:`decode_int_keys`; otherwise per
+    key.  Either way a slot decodes to its key's value, canonical or not.
     """
     tags = np.asarray(tags, dtype=np.uint8)
     lengths = np.asarray(lengths, dtype=np.uint32)
@@ -174,12 +281,13 @@ def keys_from_arrays(
     is_int = tags == KEY_TAG_INT
     if (
         np.all(is_int | (tags == KEY_TAG_NONE))
-        and np.all(lengths == np.where(is_int, 4, 0))
+        and np.all(lengths <= np.where(is_int, 8, 0))
     ):
-        # Zigzag-decode every 4-byte encoding at once (negative keys too).
-        encoded = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        if not is_int.any():  # every slot empty
+            return [None] * len(tags)
+        ints = decode_int_keys(lengths[is_int], np.frombuffer(raw, dtype=np.uint8))
         keys = np.full(len(tags), None, dtype=object)
-        keys[is_int] = np.where(encoded & 1, -(encoded >> 1), encoded >> 1).astype(object)
+        keys[is_int] = ints.astype(object)
         return keys.tolist()
     return _keys_from_arrays_per_key(tags, lengths, raw)
 
@@ -204,14 +312,17 @@ class EncodedKeyBatch:
     loop depends on the byte length), so the batch groups its keys by encoded
     length and packs each group into a contiguous ``(n_group, length)``
     ``uint8`` matrix.  Real workloads (32-bit flow IDs) collapse into a
-    single 4-byte group, which is the fully vectorized fast path; mixed key
-    types degrade gracefully into one kernel launch per distinct length.
+    single 4-byte group; mixed key types degrade gracefully into one kernel
+    launch per distinct length.
 
     The batch is immutable and reusable: every hash function of every layer
     or array hashes the same encoded matrices, so encoding cost is paid once
-    per item regardless of sketch depth.  Batches of non-negative ints below
-    2^31 (the paper's 32-bit flow IDs) skip per-key ``key_to_bytes`` entirely
-    and build the packed matrix with whole-array NumPy operations.
+    per item regardless of sketch depth.  Batches of int keys — an integer
+    ndarray, or a list of plain ints, in ``(-2^63, 2^63)`` — are held as one
+    ``int64`` array (:attr:`int64_keys`) and packed by the whole-array int
+    codec (:func:`encode_int_keys`), with no per-key ``key_to_bytes``; an
+    ndarray batch materialises its Python key list only if a consumer asks
+    for :attr:`keys`.
 
     Constructing an ``EncodedKeyBatch`` from an existing one shares all of
     its cached state instead of re-encoding, and the batch behaves as a
@@ -224,7 +335,7 @@ class EncodedKeyBatch:
 
     __slots__ = (
         "_keys", "_encoded", "_groups", "_group_of", "_row_of",
-        "_int_array", "_count", "_parent", "_positions",
+        "_ints", "_small", "_count", "_parent", "_positions",
     )
 
     def __init__(self, keys: Sequence[object], _encoded: list[bytes] | None = None) -> None:
@@ -232,20 +343,19 @@ class EncodedKeyBatch:
             # Share the donor's cached encodings/groups: re-wrapping a batch
             # (e.g. a routed sub-batch entering a sketch's insert_batch) must
             # never redo the per-key encoding work.
-            self._keys = keys._keys
-            self._encoded = keys._encoded if _encoded is None else _encoded
-            self._groups = keys._groups
-            self._group_of = keys._group_of
-            self._row_of = keys._row_of
-            self._int_array = keys._int_array
-            self._count = keys._count
-            self._parent = keys._parent
-            self._positions = keys._positions
+            for name in self.__slots__:
+                setattr(self, name, getattr(keys, name))
+            if _encoded is not None:
+                self._encoded = _encoded
             return
+        ints = None
         if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
+            ints = as_int64_keys(keys)
+            keys = None if ints is not None else keys.tolist()
         elif not isinstance(keys, (list, tuple)):
             keys = list(keys)
+        if keys is not None:
+            ints = as_int64_keys(keys)
         self._keys = keys
         self._encoded = _encoded
         self._groups: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -253,8 +363,12 @@ class EncodedKeyBatch:
         # with the groups; they make take() a pure matrix-slicing operation.
         self._group_of: np.ndarray | None = None
         self._row_of: np.ndarray | None = None
-        self._int_array: np.ndarray | None = None
-        self._count = len(keys)
+        self._ints = ints
+        # Whether every key lies in [0, 2^31): the contract of int_key_array.
+        self._small = ints is not None and (
+            not ints.size or (int(ints.min()) >= 0 and int(ints.max()) < 2**31)
+        )
+        self._count = len(ints) if keys is None else len(keys)
         self._parent: EncodedKeyBatch | None = None
         self._positions: np.ndarray | None = None
 
@@ -262,18 +376,23 @@ class EncodedKeyBatch:
     def keys(self) -> Sequence[object]:
         """The original key objects.
 
-        Sub-batches built by :meth:`take` defer this list: the per-layer
-        hashing of the survivor pipeline only ever touches the packed
-        matrices, so the Python-level key list is materialised lazily on
-        first access (typically never for intermediate layers).
+        An int ndarray batch builds this list (of Python ints) on first
+        access.  Sub-batches built by :meth:`take` defer it too: the
+        per-layer hashing of the survivor pipeline only ever touches the
+        packed matrices, so the list is typically never built for
+        intermediate layers.  A sub-batch of a batch whose key list exists
+        slices that list, so the caller's key objects survive routing.
         """
         if self._keys is None:
             parent = self._parent
-            positions = self._positions
-            parent_keys = parent.keys
-            self._keys = [parent_keys[i] for i in positions]
-            if self._encoded is None and parent._encoded is not None:
-                self._encoded = [parent._encoded[i] for i in positions]
+            if parent is not None and (parent._keys is not None or self._ints is None):
+                parent_keys = parent.keys
+                positions = self._positions.tolist()
+                self._keys = [parent_keys[i] for i in positions]
+                if self._encoded is None and parent._encoded is not None:
+                    self._encoded = [parent._encoded[i] for i in positions]
+            else:
+                self._keys = self._ints.tolist()
             self._parent = None
             self._positions = None
         return self._keys
@@ -299,46 +418,50 @@ class EncodedKeyBatch:
         return self._encoded
 
     @property
+    def int64_keys(self) -> np.ndarray | None:
+        """The keys as one ``int64`` array when the int codec applies, else ``None``.
+
+        Set when every key is a plain ``int`` in ``(-2^63, 2^63)`` (see
+        :func:`as_int64_keys`); the wire key block encodes such batches with
+        array operations.
+        """
+        return self._ints
+
+    @property
     def int_key_array(self) -> np.ndarray | None:
-        """The keys as one ``int64`` array when the int fast path applies.
+        """The keys as one ``int64`` array when every key is a plain ``int`` in ``[0, 2^31)``.
 
-        ``None`` for batches that did not take the fast path (mixed types,
-        negative or oversized ints).  Used by the key interner to resolve
-        whole batches through one table gather or one dict probe.
+        ``None`` otherwise (mixed types, negative or wider ints).  Used by
+        the key interner to resolve whole batches through one table gather
+        or one dict probe; its id table is indexed by key, so the bound is
+        part of the contract.
         """
-        self.groups  # the fast-path probe runs with the one-time packing
-        return self._int_array
+        return self._ints if self._small else None
 
-    def _int_fast_groups(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Single-group packing for batches of small non-negative ints.
+    def _int_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Length groups of an int batch, packed by the whole-array int codec.
 
-        ``key_to_bytes`` maps an int ``k`` in ``[0, 2^31)`` to the 4-byte
-        little-endian encoding of ``k << 1``, so the whole batch packs into
-        one ``(n, 4)`` matrix via a vectorized shift — no per-key encoding.
-        The type screen runs at C speed (``set(map(type, ...))`` is exactly
-        the per-key ``type(key) is int`` test) and the bounds check on the
-        already-converted array.
+        Groups come in first-occurrence order of their length, positions
+        ascending: the groups the per-key path builds.
         """
-        if set(map(type, self.keys)) != {int}:
-            return None
-        try:
-            array = np.asarray(self._keys, dtype=np.int64)
-        except OverflowError:
-            return None
-        if int(array.min()) < 0 or int(array.max()) >= 2**31:
-            return None
-        self._int_array = array
-        matrix = (array << 1).astype("<u4").view(np.uint8).reshape(self._count, 4)
-        return [(np.arange(self._count, dtype=np.intp), matrix)]
+        lengths, rows = encode_int_keys(self._ints)
+        if rows.shape[1] == 4:  # every key 4 bytes long: one group
+            return [(np.arange(self._count, dtype=np.intp), rows)]
+        groups = []
+        for length in range(int(lengths.min()), int(lengths.max()) + 1):
+            positions = np.flatnonzero(lengths == length)
+            if positions.size:
+                groups.append((positions, rows[positions, :length]))
+        groups.sort(key=lambda group: group[0][0])
+        return groups
 
     @property
     def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Length groups as ``(original_positions, (n, length) uint8 matrix)``."""
         if self._groups is None:
-            groups = None
-            if self._encoded is None and self._count:
-                groups = self._int_fast_groups()
-            if groups is None:
+            if self._ints is not None and self._count:
+                groups = self._int_groups()
+            else:
                 by_length: dict[int, list[int]] = {}
                 for position, encoding in enumerate(self.encoded):
                     by_length.setdefault(len(encoding), []).append(position)
@@ -367,10 +490,10 @@ class EncodedKeyBatch:
         survive layer ``i`` are re-hashed for layer ``i + 1``.  When the
         length groups are already packed, the sub-batch's groups are sliced
         straight out of the parent matrices — no per-key re-encoding or
-        re-packing, even on the int fast path — and the Python key list is
-        *deferred*: hashing only reads the matrices, so consumers that
-        never touch ``.keys`` (each layer of the survivor pipeline) skip
-        the per-key list construction entirely.
+        re-packing — and the Python key list is *deferred*: hashing only
+        reads the matrices, so consumers that never touch ``.keys`` (each
+        layer of the survivor pipeline) skip the per-key list construction
+        entirely.
         """
         # Force the parent's one-time packing (a no-op if a hash already
         # triggered it), so sub-batches always slice instead of re-encoding.
@@ -382,9 +505,8 @@ class EncodedKeyBatch:
         sub._count = len(position_array)
         sub._parent = self
         sub._positions = position_array
-        sub._int_array = (
-            None if self._int_array is None else self._int_array[position_array]
-        )
+        sub._ints = None if self._ints is None else self._ints[position_array]
+        sub._small = self._small
         group_ids = self._group_of[position_array]
         rows = self._row_of[position_array]
         groups = []

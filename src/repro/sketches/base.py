@@ -121,6 +121,7 @@ class Sketch(abc.ABC):
         The default implementation is the scalar loop; overrides vectorize
         but must stay bit-identical to it.
         """
+        keys = self._native_keys(keys)
         if values is None or isinstance(values, int):
             value = 1 if values is None else values
             for key in keys:
@@ -137,6 +138,7 @@ class Sketch(abc.ABC):
         The default implementation loops over :meth:`query`; overrides
         vectorize but must return bit-identical estimates.
         """
+        keys = self._native_keys(keys)
         return np.fromiter(
             (self.query(key) for key in keys), dtype=np.int64, count=len(keys)
         )
@@ -160,12 +162,10 @@ class Sketch(abc.ABC):
             return
         # Imported here: repro.streams is a leaf package, but keeping the
         # import local avoids widening sketch import time for scalar users.
-        from repro.streams.items import chunked
+        from repro.streams.items import iter_key_value_chunks
 
-        for chunk in chunked(items, batch_size):
-            self.insert_batch(
-                [key for key, _ in chunk], [value for _, value in chunk]
-            )
+        for keys, values in iter_key_value_chunks(items, batch_size):
+            self.insert_batch(keys, values)
 
     def merge(self, other: "Sketch") -> "Sketch":
         """Fold another sketch's state into this one, in place.
@@ -301,6 +301,15 @@ class Sketch(abc.ABC):
     def parameters(self) -> dict:
         """Algorithm-specific parameters worth recording in reports."""
         return {}
+
+    @staticmethod
+    def _native_keys(keys: Sequence[object]) -> Sequence[object]:
+        """An ndarray batch as Python key objects, converted once per batch.
+
+        The scalar loop stores the keys it is given; NumPy scalars would
+        leak into ``top_k`` and other key-returning APIs.
+        """
+        return keys.tolist() if isinstance(keys, np.ndarray) else keys
 
     @staticmethod
     def _check_insert(value: int) -> None:

@@ -8,7 +8,14 @@ item-count / distinct-key / skew characteristics (see DESIGN.md for the
 substitution rationale), alongside the Zipf generator the paper itself uses.
 """
 
-from repro.streams.items import Item, Stream, chunked, exact_counts, total_value
+from repro.streams.items import (
+    Item,
+    Stream,
+    chunked,
+    exact_counts,
+    iter_key_value_chunks,
+    total_value,
+)
 from repro.streams.synthetic import ZipfGenerator, zipf_stream, uniform_stream
 from repro.streams.traces import (
     TraceSpec,
@@ -30,6 +37,7 @@ __all__ = [
     "Item",
     "Stream",
     "chunked",
+    "iter_key_value_chunks",
     "exact_counts",
     "total_value",
     "ZipfGenerator",

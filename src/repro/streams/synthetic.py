@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.streams.items import Item, Stream
+from repro.streams.items import Stream
 
 
 class ZipfGenerator:
@@ -50,8 +50,8 @@ class ZipfGenerator:
     def stream(self, count: int, value: int = 1, name: str | None = None) -> Stream:
         """Materialise a stream of ``count`` items with constant ``value``."""
         keys = self.draw(count)
-        items = [Item(int(key), value) for key in keys]
-        return Stream(items, name=name or f"zipf-{self.skew:g}")
+        values = np.full(len(keys), value, dtype=np.int64)
+        return Stream.from_arrays(keys, values, name=name or f"zipf-{self.skew:g}")
 
 
 def zipf_stream(

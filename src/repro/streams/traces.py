@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.streams.items import Item, Stream
+from repro.streams.items import Stream
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def _generate(spec: TraceSpec, scale: float, seed: int, value_model: str | None)
     else:
         raise ValueError(f"unknown value model: {model!r}")
 
-    items = [Item(int(k), int(v)) for k, v in zip(keys, values)]
-    return Stream(items, name=f"{spec.name} (scale={scale:g})")
+    return Stream.from_arrays(keys, values, name=f"{spec.name} (scale={scale:g})")
 
 
 def ip_trace(scale: float = 0.01, seed: int = 1, value_model: str | None = None) -> Stream:

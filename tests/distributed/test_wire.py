@@ -459,3 +459,91 @@ def test_malformed_dynamic_payloads_never_crash(payload):
             decoder(payload)
         except WireFormatError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Non-canonical int slots: the receiver hashes a key's own encoding, so a
+# tagged INT slot must hold exactly key_to_bytes of its value.
+
+
+def _tagged_key_block(slots) -> bytes:
+    """A hand-built tagged key block of ``(tag, encoded bytes)`` slots."""
+    lengths = np.asarray([len(piece) for _, piece in slots], dtype="<u4")
+    return (bytes([1]) + bytes(tag for tag, _ in slots) + lengths.tobytes()
+            + b"".join(piece for _, piece in slots))
+
+
+def _batch_payload(slots) -> bytes:
+    import struct
+
+    return struct.pack(">I", len(slots)) + _tagged_key_block(slots) + bytes([0])
+
+
+def _decoders():
+    """Each frame family that carries a key block: (name, decode of the slots)."""
+    import struct
+
+    from repro.distributed.wire import QUERY_KEYS, decode_query_request, decode_routed_batch
+
+    return {
+        "batch": lambda slots: decode_batch(_batch_payload(slots)),
+        "routed-batch": lambda slots: decode_routed_batch(
+            struct.pack(">II", 3, 1) + _batch_payload(slots)
+        ),
+        "query-request": lambda slots: decode_query_request(
+            struct.pack(">IBI", 9, QUERY_KEYS, len(slots)) + _tagged_key_block(slots)
+        ),
+    }
+
+
+INT_TAG, STR_TAG = 0, 1
+NON_CANONICAL_SLOTS = {
+    "5 in 8 bytes": (10).to_bytes(8, "little"),
+    "empty slot": b"",
+    "3-byte slot": (10).to_bytes(3, "little"),
+    "code of -0": (1).to_bytes(4, "little"),
+}
+
+
+@pytest.mark.parametrize("frame", ("batch", "routed-batch", "query-request"))
+@pytest.mark.parametrize("slot", sorted(NON_CANONICAL_SLOTS))
+# An all-INT block decodes with array operations; a str key forces the
+# per-key loop.  Both must reject the slot.
+@pytest.mark.parametrize("neighbour", ((INT_TAG, (14).to_bytes(4, "little")),
+                                       (STR_TAG, b"flow")))
+def test_non_canonical_int_slots_are_rejected(frame, slot, neighbour):
+    decode = _decoders()[frame]
+    with pytest.raises(WireFormatError, match="non-canonical"):
+        decode([neighbour, (INT_TAG, NON_CANONICAL_SLOTS[slot])])
+    # The canonical encoding of the same key decodes on every path.
+    decode([neighbour, (INT_TAG, (10).to_bytes(4, "little"))])
+
+
+def test_non_canonical_key_would_break_remote_equals_local():
+    """Key 5 shipped in 8 bytes would decode to 5 yet hash its 8 bytes."""
+    from repro.hashing.families import key_to_bytes
+
+    padded = (10).to_bytes(8, "little")
+    assert key_to_bytes(5) != padded
+    local = build_sketch("CM_fast", 4096, seed=0)
+    local.insert(5)
+    remote = build_sketch("CM_fast", 4096, seed=0)
+    batch, values = decode_batch(_batch_payload([(INT_TAG, key_to_bytes(5))]))
+    remote.insert_batch(batch, values)
+    assert remote.query(5) == local.query(5) == 1
+    with pytest.raises(WireFormatError):
+        decode_batch(_batch_payload([(INT_TAG, padded)]))
+
+
+@given(st.lists(st.integers(min_value=-(2**63) + 1, max_value=2**63 - 1), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_int_batches_roundtrip_as_int_arrays(keys):
+    """Tagged int blocks decode into int batches with the sender's keys and hashes."""
+    from repro.hashing import HashFunction
+
+    source = EncodedKeyBatch(np.asarray(keys, dtype=np.int64))
+    batch, _ = decode_batch(encode_batch(source))
+    assert list(batch.keys) == keys
+    assert batch.int64_keys is not None
+    hash_fn = HashFunction(7)
+    assert hash_fn.raw_batch(batch).tolist() == hash_fn.raw_batch(source).tolist()
