@@ -9,18 +9,20 @@ Three measurements, written to ``BENCH_distributed.json``:
    lose to the wire format itself.
 2. **Per-transport ingest** — for each backend (``inproc`` queue, ``pipe``
    processes, ``tcp`` sockets) and each benchmarked algorithm, run the full
-   coordinator -> workers -> collector pipeline and record ingest
-   throughput, wire volume in both directions, tree-merge latency and the
-   ``bit_identical`` flag against a single-node sketch fed the same stream
-   (CM/Count must be exact; CU records its documented never-underestimates
-   guarantee instead).
-3. **Single-node baseline** — the same stream batch-inserted into one local
-   sketch, so every transport row reads as a ratio against staying local.
-4. **Reshard under load** — the dynamic fleet splits its busiest worker a
+   coordinator -> workers -> collector pipeline (``run_dynamic_ingest``, one
+   partition per worker) and record ingest throughput, wire volume in both
+   directions, tree-merge latency and the ``bit_identical`` flag against a
+   single-node sketch fed the same stream (CM/Count must be exact; CU
+   records its documented never-underestimates guarantee instead).
+3. **Single-node baseline** — ``insert_batch`` into one local sketch over
+   the same pre-built array chunks the fleet is sent (median of
+   ``SINGLE_NODE_REPEATS`` fills), so every transport row reads as a ratio
+   against staying local.
+4. **Reshard under load** — the fleet splits its busiest worker a
    third of the way into the stream and folds it back at two thirds;
-   recorded against a quiet dynamic fleet: items/s dip, per-handoff
-   latency, the epoch trail, and ``bit_identical`` against a local static
-   ``partitions``-shard fleet (the no-failure reshard path must not move a
+   recorded against the same fleet at rest: items/s dip, per-handoff
+   latency, the epoch trail, and ``bit_identical`` against a local
+   ``partitions``-shard sketch (the no-failure reshard path must not move a
    single counter).
 
 Correctness here is pinned by ``tests/distributed/``; the JSON is a pure
@@ -48,12 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.distributed.ingest import run_distributed_ingest
+from repro.distributed.ingest import run_dynamic_ingest
 from repro.distributed.wire import decode_batch, encode_batch
-from repro.metrics.throughput import measure_batch_throughput
 from repro.sketches.registry import build_sketch
 from repro.sketches.sharded import ShardedSketch
-from repro.streams.items import chunked
+from repro.streams.items import iter_key_value_chunks
 from repro.streams.synthetic import zipf_stream
 
 ALGORITHMS = ("CM_fast", "CU_fast", "Count")
@@ -64,14 +65,11 @@ DEFAULT_SKEW = 1.1
 DEFAULT_CHUNK = 8192
 DEFAULT_MEMORY_BYTES = 64 * 1024
 DEFAULT_WORKERS = 4
+SINGLE_NODE_REPEATS = 5
 
 
-def bench_serialization(items, chunk_size: int) -> dict:
+def bench_serialization(chunks, count: int, chunk_size: int) -> dict:
     """Pure wire cost: encode/decode every chunk, no transport in the loop."""
-    chunks = [
-        ([key for key, _ in chunk], [value for _, value in chunk])
-        for chunk in chunked(items, chunk_size)
-    ]
     start = time.perf_counter()
     payloads = [encode_batch(keys, values) for keys, values in chunks]
     encode_seconds = time.perf_counter() - start
@@ -87,18 +85,31 @@ def bench_serialization(items, chunk_size: int) -> dict:
         "chunks": len(chunks),
         "encode_seconds": encode_seconds,
         "decode_seconds": decode_seconds,
-        "encode_items_per_s": len(items) / max(encode_seconds, 1e-9),
-        "decode_items_per_s": len(items) / max(decode_seconds, 1e-9),
+        "encode_items_per_s": count / max(encode_seconds, 1e-9),
+        "decode_items_per_s": count / max(decode_seconds, 1e-9),
         "wire_bytes": wire_bytes,
-        "bytes_per_item": wire_bytes / max(len(items), 1),
+        "bytes_per_item": wire_bytes / max(count, 1),
     }
+
+
+def bench_single_node(name: str, chunks, count: int, memory_bytes: float,
+                      seed: int) -> tuple:
+    """``insert_batch`` on the pre-built chunks: ``(last sketch, median items/s)``."""
+    rates = []
+    for _ in range(SINGLE_NODE_REPEATS):
+        sketch = build_sketch(name, memory_bytes, seed=seed)
+        start = time.perf_counter()
+        for keys, values in chunks:
+            sketch.insert_batch(keys, values)
+        rates.append(count / max(time.perf_counter() - start, 1e-9))
+    return sketch, float(np.median(rates))
 
 
 def bench_transport(transport: str, name: str, items, keys, truth, single,
                     single_ips: float, memory_bytes: float, workers: int,
                     chunk_size: int, seed: int) -> dict:
     """One full coordinator->workers->collector run over one backend."""
-    result = run_distributed_ingest(
+    result = run_dynamic_ingest(
         name, memory_bytes, items,
         workers=workers, transport=transport, chunk_size=chunk_size, seed=seed,
     )
@@ -114,7 +125,7 @@ def bench_transport(transport: str, name: str, items, keys, truth, single,
         "merge_seconds": result.merge_seconds,
         "bytes_sent": result.bytes_sent,
         "bytes_received": result.bytes_received,
-        "items_per_worker": list(result.items_per_worker),
+        "items_per_partition": list(result.items_per_partition),
     }
     if result.merged is not None:
         merged_answers = result.merged.query_batch(keys)
@@ -143,17 +154,15 @@ def bench_transport(transport: str, name: str, items, keys, truth, single,
 
 def bench_reshard(name: str, items, keys, memory_bytes: float, workers: int,
                   partitions: int, chunk_size: int, seed: int) -> dict:
-    """Reshard-under-load: live fleet surgery vs the same dynamic fleet at rest.
+    """Reshard-under-load: live fleet surgery vs the same fleet at rest.
 
-    Two runs over the identical stream: a quiet dynamic fleet (the baseline)
-    and one that splits the busiest worker a third of the way in and folds
-    the new worker back at two thirds.  The row records the throughput dip,
+    Two runs over the identical stream: a quiet fleet (the baseline) and one
+    that splits the busiest worker a third of the way in and folds the new
+    worker back at two thirds.  The row records the throughput dip,
     per-handoff latency, the epoch trail, and ``bit_identical`` against a
-    local static ``partitions``-shard fleet — the no-failure reshard path
-    must not move a single counter.
+    local ``partitions``-shard sketch — the no-failure reshard path must not
+    move a single counter.
     """
-    from repro.distributed.ingest import run_dynamic_ingest
-
     quiet = run_dynamic_ingest(
         name, memory_bytes, items,
         workers=workers, partitions=partitions, transport="inproc",
@@ -198,8 +207,8 @@ def bench_reshard(name: str, items, keys, memory_bytes: float, workers: int,
         "workers": workers,
         "partitions": partitions,
         "ingest_ips": ingest_ips,
-        "static_ips": quiet_ips,
-        "reshard_vs_static": ingest_ips / max(quiet_ips, 1e-9),
+        "quiet_ips": quiet_ips,
+        "reshard_vs_quiet": ingest_ips / max(quiet_ips, 1e-9),
         "handoffs": len(result.handoffs),
         "handoff_seconds_mean": float(np.mean(handoff_seconds)) if handoff_seconds else 0.0,
         "handoff_seconds_max": float(np.max(handoff_seconds)) if handoff_seconds else 0.0,
@@ -244,7 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.workers} workers, chunk {args.chunk_size}, cpu_count={os.cpu_count()}"
     )
 
-    serialization = bench_serialization(stream, args.chunk_size)
+    # The array slices the coordinator is handed, built once: the wire and
+    # single-node measurements time the same chunks the fleet is sent.
+    chunks = list(iter_key_value_chunks(stream, args.chunk_size))
+    serialization = bench_serialization(chunks, len(stream), args.chunk_size)
     print(
         f"wire: encode {serialization['encode_items_per_s']:,.0f} items/s, "
         f"decode {serialization['decode_items_per_s']:,.0f} items/s, "
@@ -254,18 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     transport_rows = []
     ok = True
     for name in algorithms:
-        single = build_sketch(name, args.memory_bytes, seed=args.seed)
-        single_insert = measure_batch_throughput(
-            lambda chunk, s=single: s.insert_batch(
-                [key for key, _ in chunk], [value for _, value in chunk]
-            ),
-            stream,
-            args.chunk_size,
+        single, single_ips = bench_single_node(
+            name, chunks, len(stream), args.memory_bytes, args.seed
         )
         for transport in transports:
             row = bench_transport(
-                transport, name, stream, keys, truth, single,
-                single_insert.ops_per_second,
+                transport, name, stream, keys, truth, single, single_ips,
                 args.memory_bytes, args.workers, args.chunk_size, args.seed,
             )
             transport_rows.append(row)
@@ -291,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             ok = False
         print(
             f"reshard {name:>8}: {row['ingest_ips']:>10,.0f} items/s "
-            f"({row['reshard_vs_static']:.2f}x quiet fleet), "
+            f"({row['reshard_vs_quiet']:.2f}x quiet fleet), "
             f"{row['handoffs']} handoffs "
             f"(mean {row['handoff_seconds_mean'] * 1e3:.2f} ms, "
             f"max {row['handoff_seconds_max'] * 1e3:.2f} ms), "
@@ -323,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output}")
     if not ok:
         print("ERROR: a distributed run diverged from its local reference "
-              "(merge vs single-node, or reshard vs static fleet)",
+              "(merge vs single-node, or reshard vs local sharded sketch)",
               file=sys.stderr)
         return 1
     return 0

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.experiments.datasets import dataset, scaled_memory_points
 from repro.experiments.speed import throughput_comparison
+from repro.metrics.throughput import measure_throughput
+from repro.sketches.registry import build_sketch
 
 ALGORITHMS = (
     "Ours",
@@ -27,6 +30,32 @@ ALGORITHMS = (
     "HashPipe",
     "PRECISION",
 )
+
+#: Interleaved rounds of the Ours / Ours(Raw) query comparison.
+QUERY_ROUNDS = 9
+
+
+def best_query_mops(names, scale, seed, rounds=QUERY_ROUNDS) -> dict:
+    """Best-of-``rounds`` scalar query Mops of each sketch, loops interleaved.
+
+    Same stream, memory and seed as :func:`throughput_comparison`.  The
+    loops alternate (ABBA order), so a slow spell of the machine hits every
+    sketch alike, and the best round of each is its speed unhindered.
+    """
+    stream = dataset("ip", scale=scale, seed=seed + 1)
+    memory_bytes = scaled_memory_points([1.0], scale)[0]
+    keys = stream.keys()
+    sketches = {name: build_sketch(name, memory_bytes, seed=seed) for name in names}
+    for sketch in sketches.values():
+        sketch.insert_stream(stream)
+    best = dict.fromkeys(names, 0.0)
+    for round_index in range(rounds):
+        order = names if round_index % 2 == 0 else names[::-1]
+        for name in order:
+            sketch = sketches[name]
+            mops = measure_throughput(lambda key, s=sketch: s.query(key), keys).mops
+            best[name] = max(best[name], mops)
+    return best
 
 
 def test_fig10_throughput(benchmark, bench_scale):
@@ -49,7 +78,11 @@ def test_fig10_throughput(benchmark, bench_scale):
     assert all(row.insert_mops > 0 and row.query_mops > 0 for row in rows)
     # The raw variant does strictly less work per insert than the filtered one.
     assert by_name["Ours(Raw)"].insert_mops > by_name["Ours"].insert_mops
-    assert by_name["Ours(Raw)"].query_mops > by_name["Ours"].query_mops
+    # ... and per query, though there the gap is small next to the noise of
+    # one timed loop, so the two loops are compared interleaved, best of N.
+    query_mops = best_query_mops(("Ours", "Ours(Raw)"), bench_scale, seed=1)
+    print(f"  interleaved best-of-{QUERY_ROUNDS} query Mops: {query_mops}")
+    assert query_mops["Ours(Raw)"] > query_mops["Ours"]
     # The 16-array accurate CM/CU variants are slower than their 3-array
     # fast variants (the paper's speed/accuracy trade-off).
     assert by_name["CM_fast"].insert_mops > by_name["CM_acc"].insert_mops

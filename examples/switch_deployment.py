@@ -10,7 +10,7 @@ shape they imply:
 * Distributed collection — several measurement points each ingest their key
   partition into a shard-local sketch; a collector tree-merges the shipped
   sketch states into one summary, bit-identical to a single box seeing the
-  whole stream (``repro.distributed``, see ``docs/architecture.md`` §4).
+  whole stream (``repro.distributed``, see ``docs/architecture.md`` §5).
 
 Run with::
 
@@ -19,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.distributed import run_distributed_ingest
+from repro.distributed import run_dynamic_ingest
 from repro.experiments.deployment import testbed_accuracy
 from repro.experiments.tables import format_table, tofino_table_rows
 from repro.hardware.fpga import FpgaModel
@@ -60,7 +60,7 @@ def main() -> None:
     # sketch that saw the whole stream (exactly, for CM/Count).
     stream = ip_trace(scale=0.004, seed=7)
     memory_bytes = 32 * 1024
-    result = run_distributed_ingest(
+    result = run_dynamic_ingest(
         "CM_fast", memory_bytes, stream, workers=4, transport="inproc", seed=7
     )
     single = build_sketch("CM_fast", memory_bytes, seed=7)
@@ -70,7 +70,7 @@ def main() -> None:
         (result.merged.query_batch(keys) == single.query_batch(keys)).all()
     )
     print(f"stream: {len(stream):,} packets over 4 ingest nodes "
-          f"{list(result.items_per_worker)}")
+          f"{list(result.items_per_partition)}")
     print(f"wire: {result.bytes_sent:,} B of routed batches out, "
           f"{result.bytes_received:,} B of sketch state back")
     print(f"collector tree-merged 4 snapshots in {result.merge_seconds * 1e3:.2f} ms; "

@@ -526,26 +526,58 @@ def _cmd_store_compact(args) -> None:
 
 def _cmd_ingest_worker(args) -> None:
     """Run one standalone TCP ingest worker until the collector shuts it down."""
-    from repro.distributed.ingest import dynamic_worker_main, worker_main
+    from repro.distributed.ingest import dynamic_worker_main
     from repro.distributed.transport import connect_worker
 
     host, port = _parse_address(args.connect or "127.0.0.1:29461")
     print(f"connecting to collector at {host}:{port} ...")
     channel = connect_worker(host, port)
-    if args.dynamic:
-        print("connected; dynamic worker (resharding protocol) until shutdown")
-        dynamic_worker_main(channel)
-    else:
-        print("connected; ingesting until the collector shuts down")
-        worker_main(channel)
+    print("connected; ingesting until the collector shuts down")
+    dynamic_worker_main(channel)
     print("collector closed the session; exiting")
 
 
+def _reshard_actions(chunks_total: int) -> dict:
+    """The ``--reshard`` schedule of a stream of ``chunks_total`` chunks.
+
+    Splits the busiest worker a third of the way in and folds the new
+    worker back at two thirds: the quiesce -> snapshot -> epoch flip ->
+    handoff cycle, twice, under live ingest.
+    """
+    new_ids = []
+
+    def split(coordinator):
+        busiest = max(
+            coordinator.alive_workers(),
+            key=lambda w: len(coordinator.router.partitions_of(w)),
+        )
+        new_ids.append(coordinator.split_worker(busiest))
+        print(f"  [chunk {chunks_total // 3}] split worker {busiest} "
+              f"-> new worker {new_ids[-1]} (epoch {coordinator.epoch})")
+
+    def merge(coordinator):
+        if new_ids and new_ids[-1] in coordinator.alive_workers():
+            target = coordinator._least_loaded(exclude={new_ids[-1]})
+            coordinator.merge_workers(new_ids[-1], target)
+            print(f"  [chunk {2 * chunks_total // 3}] merged worker "
+                  f"{new_ids[-1]} into {target} (epoch {coordinator.epoch})")
+
+    return {max(1, chunks_total // 3): split, max(2, 2 * chunks_total // 3): merge}
+
+
 def _cmd_ingest_collect(args) -> None:
-    """Distribute a synthetic stream over ingest workers and merge the result."""
-    from repro.distributed.ingest import run_distributed_ingest
+    """Distribute a synthetic stream over ingest workers and merge the result.
+
+    Keys hash to ``--partitions`` fixed partitions (default: ``--shards``,
+    or ``max(shards, 2)`` with ``--reshard``) spread over ``--shards``
+    workers.  With ``--verify`` the merge is checked against single-node
+    ingest (mergeable families) and the routed answers against a local
+    ``partitions``-shard sketch (every family).
+    """
+    from repro.distributed.ingest import run_dynamic_ingest
     from repro.distributed.transport import TcpTransport
     from repro.sketches.registry import build_sketch
+    from repro.sketches.sharded import ShardedSketch
     from repro.streams.synthetic import zipf_stream
 
     algorithm = args.algorithm or "CM_fast"
@@ -553,6 +585,9 @@ def _cmd_ingest_collect(args) -> None:
     count = args.count if args.count is not None else 200_000
     skew = args.skew if args.skew is not None else 1.1
     chunk_size = args.batch_size or 8192
+    partitions = args.partitions
+    if partitions is None:
+        partitions = max(args.shards, 2) if args.reshard else args.shards
 
     transport_name = args.transport or "inproc"
     if transport_name == "tcp":
@@ -570,112 +605,12 @@ def _cmd_ingest_collect(args) -> None:
     )
     if isinstance(backend, TcpTransport) and not backend.self_hosted:
         print(f"waiting for {args.shards} workers on {args.bind} ...")
-
-    if args.reshard or args.partitions is not None:
-        _ingest_collect_dynamic(args, algorithm, memory_bytes, chunk_size,
-                                stream, backend)
-        return
-
-    start = time.perf_counter()
-    result = run_distributed_ingest(
-        algorithm,
-        memory_bytes,
-        stream,
-        workers=args.shards,
-        transport=backend,
-        chunk_size=chunk_size,
-        seed=args.seed,
-    )
-    wall = time.perf_counter() - start
-    print(
-        f"ingested {result.total_items} items in {result.ingest_seconds:.3f}s "
-        f"({result.total_items / max(result.ingest_seconds, 1e-9):,.0f} items/s); "
-        f"wire: {result.bytes_sent:,} B out, {result.bytes_received:,} B back"
-    )
-    print(f"per-worker items: {list(result.items_per_worker)}")
-    if result.merged is not None:
-        print(f"tree-merged {args.shards} snapshots in {result.merge_seconds * 1e3:.2f} ms")
-    else:
-        print(
-            f"collected {args.shards} snapshots into a routed sharded sketch "
-            "(this family snapshots but has no lossless merge)"
-        )
-    if args.verify:
-        keys = stream.keys()
-        if result.merged is not None:
-            single = build_sketch(algorithm, memory_bytes, seed=args.seed)
-            single.insert_stream(stream, batch_size=chunk_size)
-            identical = bool(
-                (result.merged.query_batch(keys) == single.query_batch(keys)).all()
-            )
-            print(f"merged result bit-identical to single-node ingest: {identical}")
-            if not identical and algorithm.startswith("CU"):
-                # CU's documented merge guarantee: never below the true value
-                # sums, never below the routed per-shard answers.
-                counts = stream.counts()
-                truth = [counts[key] for key in keys]
-                never_underestimates = bool(
-                    (result.merged.query_batch(keys) >= truth).all()
-                )
-                print(
-                    "  (CU upper-bound merge semantics; never underestimates the "
-                    f"true counts: {never_underestimates})"
-                )
-        else:
-            from repro.sketches.sharded import ShardedSketch
-
-            local = ShardedSketch.from_registry(
-                algorithm, memory_bytes, args.shards, seed=args.seed
-            )
-            local.insert_stream(stream, batch_size=chunk_size)
-            identical = bool(
-                (result.sharded().query_batch(keys) == local.query_batch(keys)).all()
-            )
-            print(f"routed answers bit-identical to local sharded ingest: {identical}")
-    print(f"total wall-clock {wall:.3f}s")
-
-
-def _ingest_collect_dynamic(args, algorithm, memory_bytes, chunk_size,
-                            stream, backend) -> None:
-    """The dynamic-fleet form of ingest-collect: reshard while ingesting.
-
-    ``--reshard`` splits the busiest worker a third of the way into the
-    stream and folds it back at two thirds, so one command demonstrates
-    the full quiesce -> snapshot -> epoch flip -> handoff cycle; with
-    ``--verify`` the final partitions are checked bit-identical to a local
-    static ``--partitions``-shard fleet.  External tcp workers must be
-    started with ``repro-cli ingest-worker --dynamic``.
-    """
-    from repro.distributed.ingest import run_dynamic_ingest
-    from repro.sketches.sharded import ShardedSketch
-
-    partitions = args.partitions if args.partitions is not None else max(args.shards, 2)
-    chunks_total = max(1, -(-len(stream) // chunk_size))
-    actions = {}
-    if args.reshard:
-        new_ids = []
-
-        def split(coordinator):
-            busiest = max(
-                coordinator.alive_workers(),
-                key=lambda w: len(coordinator.router.partitions_of(w)),
-            )
-            new_ids.append(coordinator.split_worker(busiest))
-            print(f"  [chunk {chunks_total // 3}] split worker {busiest} "
-                  f"-> new worker {new_ids[-1]} (epoch {coordinator.epoch})")
-
-        def merge(coordinator):
-            if new_ids and new_ids[-1] in coordinator.alive_workers():
-                target = coordinator._least_loaded(exclude={new_ids[-1]})
-                coordinator.merge_workers(new_ids[-1], target)
-                print(f"  [chunk {2 * chunks_total // 3}] merged worker "
-                      f"{new_ids[-1]} into {target} (epoch {coordinator.epoch})")
-
-        actions = {max(1, chunks_total // 3): split,
-                   max(2, 2 * chunks_total // 3): merge}
-
     if args.store is not None:
         print(f"persisting partition checkpoints to {args.store}")
+
+    actions = None
+    if args.reshard:
+        actions = _reshard_actions(max(1, -(-len(stream) // chunk_size)))
     start = time.perf_counter()
     result = run_dynamic_ingest(
         algorithm,
@@ -698,6 +633,7 @@ def _ingest_collect_dynamic(args, algorithm, memory_bytes, chunk_size,
         f"across {partitions} partitions; final epoch {result.epoch}; "
         f"wire: {result.bytes_sent:,} B out, {result.bytes_received:,} B back"
     )
+    print(f"per-partition items: {list(result.items_per_partition)}")
     for record in result.handoffs:
         print(
             f"  handoff: partition {record['partition']} "
@@ -705,17 +641,42 @@ def _ingest_collect_dynamic(args, algorithm, memory_bytes, chunk_size,
             f"({record['items']} items, {record['seconds'] * 1e3:.2f} ms, "
             f"epoch {record['epoch']})"
         )
+    if result.merged is not None:
+        print(f"tree-merged {partitions} snapshots in {result.merge_seconds * 1e3:.2f} ms")
+    else:
+        print(
+            f"collected {partitions} snapshots into a routed sharded sketch "
+            "(this family snapshots but has no lossless merge)"
+        )
     if args.verify:
+        keys = stream.keys()
+        if result.merged is not None:
+            single = build_sketch(algorithm, memory_bytes, seed=args.seed)
+            single.insert_stream(stream, batch_size=chunk_size)
+            identical = bool(
+                (result.merged.query_batch(keys) == single.query_batch(keys)).all()
+            )
+            print(f"merged result bit-identical to single-node ingest: {identical}")
+            if not identical and algorithm.startswith("CU"):
+                # CU's documented merge guarantee: never below the true value
+                # sums, never below the routed per-partition answers.
+                counts = stream.counts()
+                truth = [counts[key] for key in keys]
+                never_underestimates = bool(
+                    (result.merged.query_batch(keys) >= truth).all()
+                )
+                print(
+                    "  (CU upper-bound merge semantics; never underestimates the "
+                    f"true counts: {never_underestimates})"
+                )
         local = ShardedSketch.from_registry(
             algorithm, memory_bytes, partitions, seed=args.seed
         )
         local.insert_stream(stream, batch_size=chunk_size)
-        keys = stream.keys()
         identical = bool(
             (result.sharded().query_batch(keys) == local.query_batch(keys)).all()
         )
-        print(f"resharded answers bit-identical to static {partitions}-shard "
-              f"fleet: {identical}")
+        print(f"routed answers bit-identical to local sharded ingest: {identical}")
     print(f"total wall-clock {wall:.3f}s")
 
 
@@ -776,7 +737,6 @@ _FLAG_COMMANDS = {
     "--verify": frozenset({"ingest-collect"}),
     "--partitions": frozenset({"ingest-collect"}),
     "--reshard": frozenset({"ingest-collect"}),
-    "--dynamic": frozenset({"ingest-worker"}),
     "--publish-every": frozenset({"serve"}),
     "--max-sessions": frozenset({"serve"}),
     "--async": frozenset({"serve"}),
@@ -865,12 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 127.0.0.1:29462)")
     ingest.add_argument("--verify", action="store_true",
                         help="ingest-collect: re-ingest locally and check the merged "
-                             "sketch against single-node ingest")
+                             "sketch against single-node ingest and the routed "
+                             "answers against local sharded ingest")
     ingest.add_argument("--partitions", type=int, default=None,
-                        help="ingest-collect: run the dynamic fleet with this many "
-                             "fixed partitions (>= --shards); partitions, not "
+                        help="ingest-collect: hash keys to this many fixed "
+                             "partitions (>= --shards); partitions, not "
                              "workers, are the unit of state migration "
-                             "(default: static fleet, or max(shards, 2) with "
+                             "(default: --shards, or max(shards, 2) with "
                              "--reshard)")
     ingest.add_argument("--reshard", action="store_true",
                         help="ingest-collect: split the busiest worker a third of "
@@ -878,10 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "thirds — a live quiesce/snapshot/epoch-flip/handoff "
                              "demo (combine with --verify for the bit-identity "
                              "check)")
-    ingest.add_argument("--dynamic", action="store_true",
-                        help="ingest-worker: speak the dynamic resharding protocol "
-                             "(required when the collector runs with --partitions/"
-                             "--reshard)")
     serving = parser.add_argument_group(
         "online serving", "options of serve / query"
     )
@@ -942,23 +899,23 @@ def build_parser() -> argparse.ArgumentParser:
     durability.add_argument("--store", default=None, metavar="DIR",
                             help="serve: journal every ingest batch and persist every "
                                  "published epoch under DIR, warm-starting from it on "
-                                 "restart; ingest-collect (dynamic fleet): persist "
-                                 "partition checkpoints under DIR and resume from "
-                                 "them; store-*: the directory to operate on")
+                                 "restart; ingest-collect: persist partition "
+                                 "checkpoints under DIR and resume from them; "
+                                 "store-*: the directory to operate on")
     durability.add_argument("--store-retain", type=int, default=None, dest="store_retain",
                             help="store-compact: keep this many newest epoch "
                                  "snapshots (default: 2)")
     durability.add_argument("--heartbeat-interval", type=float, default=None,
                             dest="heartbeat_interval",
-                            help="ingest-collect (dynamic fleet): probe worker "
-                                 "liveness between chunks at this wall-clock cadence "
-                                 "in seconds (default: only on failure signals)")
+                            help="ingest-collect: probe worker liveness between "
+                                 "chunks at this wall-clock cadence in seconds "
+                                 "(default: only on failure signals)")
     durability.add_argument("--heartbeat-timeout", type=float, default=None,
                             dest="heartbeat_timeout",
-                            help="ingest-collect (dynamic fleet): declare a worker "
-                                 "dead if a heartbeat ack takes longer than this "
-                                 "many seconds — hung workers are recovered like "
-                                 "dead ones (default: wait forever)")
+                            help="ingest-collect: declare a worker dead if a "
+                                 "heartbeat ack takes longer than this many "
+                                 "seconds — hung workers are recovered like dead "
+                                 "ones (default: wait forever)")
     return parser
 
 
@@ -1003,7 +960,6 @@ def main(argv: list[str] | None = None) -> int:
         "--verify": args.verify or None,
         "--partitions": args.partitions,
         "--reshard": args.reshard or None,
-        "--dynamic": args.dynamic or None,
         "--publish-every": args.publish_every,
         "--max-sessions": args.max_sessions,
         "--async": args.async_mode or None,
@@ -1087,19 +1043,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--heartbeat-interval must be positive")
     if args.heartbeat_timeout is not None and args.heartbeat_timeout <= 0:
         parser.error("--heartbeat-timeout must be positive")
-    dynamic_only = {
-        "--heartbeat-interval": args.heartbeat_interval,
-        "--heartbeat-timeout": args.heartbeat_timeout,
-    }
-    if args.experiment == "ingest-collect":
-        dynamic_only["--store"] = args.store
-    if not (args.reshard or args.partitions is not None):
-        for flag, value in dynamic_only.items():
-            if value is not None:
-                parser.error(
-                    f"{flag} requires the dynamic fleet "
-                    "(combine with --partitions or --reshard)"
-                )
     if args.experiment == "ingest-collect" and args.store is not None and args.verify:
         parser.error(
             "--verify cannot be combined with --store: a resumed fleet "

@@ -1,13 +1,13 @@
 """Distributed ingest over pluggable transports.
 
-This package turns the shard/merge subsystem of PR 2 into a deployable
-pipeline: ``N`` worker nodes each own a shard-local sketch, consume
+This package turns the shard/merge subsystem into a deployable pipeline:
+worker nodes own partition-local sketches, consume
 :class:`~repro.hashing.EncodedKeyBatch` chunks over a pluggable transport,
-and a collector tree-merges the workers' state snapshots into one sketch —
-bit-identical to single-node ingest for every exactly-mergeable family
-(CM, Count) and within CU's documented upper-bound merge semantics.
+and a collector tree-merges the partitions' state snapshots into one
+sketch — bit-identical to single-node ingest for every exactly-mergeable
+family (CM, Count) and within CU's documented upper-bound merge semantics.
 
-Three cooperating layers:
+Four cooperating layers:
 
 * :mod:`repro.distributed.wire` — versioned, length-prefixed serialization
   of key batches and sketch table state.  Batch frames carry the packed
@@ -17,20 +17,21 @@ Three cooperating layers:
   three backends: ``inproc`` (queue pair, worker threads), ``pipe``
   (``multiprocessing`` pipes + processes) and ``tcp`` (length-prefixed
   frames over sockets).  The ingest logic never branches on the backend.
-* :mod:`repro.distributed.ingest` — the transport-agnostic worker loop and
-  the coordinator/collector.  The coordinator reuses the *same* partition
-  hash as :class:`~repro.sketches.sharded.ShardedSketch`
-  (``partition_router``), so key->worker placement is identical to local
-  sharding: each key's whole history reaches one worker in stream order,
-  which keeps remote ingest exact even for order-dependent families.
-
-PR 8 adds the **dynamic** layer on top: partition-grained ownership behind
-an epoch-versioned router (:class:`~repro.sketches.sharded.EpochRouter`),
-live resharding (split/merge/add/remove under ingest via epoch-fenced
-state handoff), worker-failure recovery (heartbeats, snapshot+journal
-restore onto survivors, exact lost-window reporting), credit-based flow
-control on routed batches, and a deterministic fault-injection harness
-(:mod:`repro.distributed.fault`) that the chaos/property suites drive.
+* :mod:`repro.distributed.ingest` — the one ingest fleet: the
+  transport-agnostic worker loop (:func:`dynamic_worker_main`) and the
+  coordinator/collector (:class:`DynamicIngestCoordinator`,
+  :func:`run_dynamic_ingest`).  Keys hash to fixed partitions with the
+  *same* partition hash as :class:`~repro.sketches.sharded.ShardedSketch`,
+  so each key's whole history reaches one partition in stream order, which
+  keeps remote ingest exact even for order-dependent families.  The
+  partition->worker assignment is epoch-versioned
+  (:class:`~repro.sketches.sharded.EpochRouter`), which gives live
+  resharding (split/merge/add/remove under ingest via epoch-fenced state
+  handoff), worker-failure recovery (heartbeats, snapshot+journal restore
+  onto survivors, exact lost-window reporting) and credit-based flow
+  control on routed batches.
+* :mod:`repro.distributed.fault` — a deterministic fault-injection harness
+  that the chaos/property suites drive.
 
 See ``docs/architecture.md`` for the full deployment picture.
 """
@@ -42,18 +43,13 @@ from repro.distributed.fault import (
     FaultPlan,
 )
 from repro.distributed.ingest import (
-    DistributedIngestResult,
     DynamicIngestCoordinator,
     DynamicIngestResult,
     DynamicWorkerConfig,
-    IngestCoordinator,
     RecoveryReport,
-    WorkerConfig,
     dynamic_worker_main,
-    run_distributed_ingest,
     run_dynamic_ingest,
     tree_merge,
-    worker_main,
 )
 from repro.distributed.transport import (
     TRANSPORT_NAMES,
@@ -80,7 +76,6 @@ from repro.distributed.wire import (
 __all__ = [
     "Channel",
     "ChannelFault",
-    "DistributedIngestResult",
     "DynamicIngestCoordinator",
     "DynamicIngestResult",
     "DynamicWorkerConfig",
@@ -88,7 +83,6 @@ __all__ = [
     "FaultInjectingTransport",
     "FaultPlan",
     "FrameTooLargeError",
-    "IngestCoordinator",
     "RecoveryReport",
     "InprocTransport",
     "PipeTransport",
@@ -96,7 +90,6 @@ __all__ = [
     "TRANSPORT_NAMES",
     "WIRE_VERSION",
     "WireFormatError",
-    "WorkerConfig",
     "create_transport",
     "decode_batch",
     "decode_config",
@@ -107,8 +100,6 @@ __all__ = [
     "encode_config",
     "encode_frame",
     "encode_state",
-    "run_distributed_ingest",
     "run_dynamic_ingest",
     "tree_merge",
-    "worker_main",
 ]

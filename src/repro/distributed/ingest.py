@@ -3,24 +3,28 @@
 The deployment shape mirrors the paper's distributed measurement points —
 many ingest nodes, one collector, results merged centrally:
 
-* The **coordinator** owns the stream.  It partitions every chunk with the
-  *same* vectorized partition hash as local sharding
-  (:func:`repro.sketches.sharded.partition_router`), so key->worker
-  placement is identical to a :class:`~repro.sketches.sharded.ShardedSketch`:
-  each key's whole history reaches exactly one worker, in stream order —
-  which keeps remote ingest exact even for order-dependent update rules.
-  Routed sub-batches ship as wire frames over the chosen transport.
-* Each **worker** (:func:`worker_main`) builds a shard-local sketch from its
-  CONFIG frame, ingests BATCH frames through the normal ``insert_batch``
-  datapath, and answers a SNAPSHOT_REQUEST with its serialized table state.
-* The **collector** restores every worker snapshot into a registry-built
-  replica and :func:`tree_merge`-s the replicas into one sketch.  For
-  CM/Count the result is bit-identical to a single sketch fed the whole
-  stream; CU carries its documented upper-bound merge guarantee.
+* The **coordinator** (:class:`DynamicIngestCoordinator`) owns the stream.
+  Keys hash to a *fixed* set of partitions with the same vectorized
+  partition hash as local sharding (:class:`~repro.sketches.sharded.EpochRouter`
+  over :func:`~repro.sketches.sharded.partition_router`), so each key's whole
+  history reaches exactly one partition, in stream order — which keeps
+  remote ingest exact even for order-dependent update rules.  Routed
+  sub-batches ship as epoch-fenced wire frames over the chosen transport.
+* Each **worker** (:func:`dynamic_worker_main`) owns a set of partitions,
+  one full-budget sketch per partition, built from its CONFIG frame; it
+  ingests ROUTED_BATCH frames through the normal ``insert_batch`` datapath
+  and answers per-partition SNAPSHOT_REQUESTs with serialized table state.
+* The **collector** restores every partition snapshot into a
+  registry-built replica and :func:`tree_merge`-s the replicas into one
+  sketch.  For CM/Count the result is bit-identical to a single sketch fed
+  the whole stream; CU carries its documented upper-bound merge guarantee.
 
-:func:`run_distributed_ingest` wires the three together for one stream and
-is what the CLI, the experiment runner (``ExperimentSettings.transport``)
-and ``benchmarks/bench_distributed.py`` call.
+The partition->worker assignment is epoch-versioned, so the fleet can
+change under live ingest (resharding, worker failure, recovery) without
+moving a counter.  :func:`run_dynamic_ingest` wires the three together for
+one stream and is what the CLI, the experiment runner
+(``ExperimentSettings.transport``) and ``benchmarks/bench_distributed.py``
+call.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from repro.distributed.transport import (
     create_transport,
 )
 from repro.distributed.wire import (
-    MSG_BATCH,
     MSG_CONFIG,
     MSG_CREDIT,
     MSG_HANDOFF,
@@ -51,7 +54,6 @@ from repro.distributed.wire import (
     MSG_SNAPSHOT,
     MSG_SNAPSHOT_REQUEST,
     WireFormatError,
-    decode_batch,
     decode_config,
     decode_credit,
     decode_frame,
@@ -62,7 +64,6 @@ from repro.distributed.wire import (
     decode_routed_batch,
     decode_snapshot_request,
     decode_state,
-    encode_batch,
     encode_config,
     encode_credit,
     encode_frame,
@@ -73,16 +74,12 @@ from repro.distributed.wire import (
     encode_routed_batch,
     encode_snapshot_request,
     encode_state,
+    refence_routed_batch,
 )
 from repro.hashing import EncodedKeyBatch
 from repro.sketches.base import Sketch, UnmergeableSketchError
 from repro.sketches.registry import build_sketch, supports_snapshots
-from repro.sketches.sharded import (
-    EpochRouter,
-    ShardedSketch,
-    partition_positions,
-    partition_router,
-)
+from repro.sketches.sharded import EpochRouter, ShardedSketch
 # ``chunked`` stays a name of this module: the traced pipeline benchmark
 # wraps ``ingest.chunked`` by attribute.
 from repro.streams.items import chunked, iter_key_value_chunks  # noqa: F401
@@ -103,226 +100,6 @@ DEFAULT_CREDIT_LIMIT = 8
 #: snapshot.  The journal is what recovery replays — and what bounds the
 #: lost window when replay is disabled.
 DEFAULT_JOURNAL_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to build its shard-local sketch.
-
-    Travels as the first frame on every channel, so workers are stateless
-    until configured — a TCP worker process can be started with nothing but
-    the collector's address.
-    """
-
-    algorithm: str
-    memory_bytes: float
-    seed: int
-    shard_id: int
-    shards: int
-    sketch_kwargs: dict = field(default_factory=dict)
-
-    def to_payload(self) -> bytes:
-        return encode_config(
-            {
-                "algorithm": self.algorithm,
-                "memory_bytes": self.memory_bytes,
-                "seed": self.seed,
-                "shard_id": self.shard_id,
-                "shards": self.shards,
-                "sketch_kwargs": self.sketch_kwargs,
-            }
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "WorkerConfig":
-        config = decode_config(payload)
-        try:
-            return cls(
-                algorithm=config["algorithm"],
-                memory_bytes=config["memory_bytes"],
-                seed=config["seed"],
-                shard_id=config["shard_id"],
-                shards=config["shards"],
-                sketch_kwargs=config.get("sketch_kwargs", {}),
-            )
-        except KeyError as missing:
-            raise WireFormatError(f"worker config is missing {missing}") from None
-
-    def build(self) -> Sketch:
-        """The shard-local replica (full budget, shared seed — see PR 2)."""
-        return build_sketch(
-            self.algorithm, self.memory_bytes, seed=self.seed, **self.sketch_kwargs
-        )
-
-
-def worker_main(channel: Channel) -> None:
-    """The worker node's event loop (same code on every transport).
-
-    Frames in: CONFIG (build the sketch), BATCH (ingest through the batch
-    datapath), SNAPSHOT_REQUEST (reply with serialized state + stats),
-    SHUTDOWN / EOF (exit).  Runs until the channel closes.
-    """
-    config: WorkerConfig | None = None
-    sketch: Sketch | None = None
-    items_ingested = 0
-    while True:
-        frame = channel.recv()
-        if frame is None:
-            break
-        msg_type, payload = decode_frame(frame)
-        if msg_type == MSG_CONFIG:
-            config = WorkerConfig.from_payload(payload)
-            sketch = config.build()
-            items_ingested = 0
-        elif msg_type == MSG_BATCH:
-            if sketch is None:
-                raise WireFormatError("BATCH frame before CONFIG")
-            batch, values = decode_batch(payload)
-            sketch.insert_batch(batch, values)
-            items_ingested += len(batch)
-        elif msg_type == MSG_SNAPSHOT_REQUEST:
-            if sketch is None or config is None:
-                raise WireFormatError("SNAPSHOT_REQUEST frame before CONFIG")
-            meta = {
-                "shard_id": config.shard_id,
-                "items": items_ingested,
-                "hash_calls": sketch.hash_calls(),
-            }
-            channel.send(
-                encode_frame(
-                    MSG_SNAPSHOT,
-                    encode_state(sketch.state_snapshot(), config.algorithm, meta),
-                )
-            )
-        elif msg_type == MSG_SHUTDOWN:
-            break
-        else:  # pragma: no cover - decode_frame already validates types
-            raise WireFormatError(f"unexpected message type {msg_type}")
-    channel.close()
-
-
-class IngestCoordinator:
-    """Collector-side driver: configure workers, route batches, collect state.
-
-    Parameters mirror ``ShardedSketch.from_registry``: ``workers``
-    identically-configured full-budget replicas of ``algorithm``, partitioned
-    by the canonical router for ``workers`` shards.  The algorithm must
-    support state snapshots (the mergeable families CM/CU/Count plus
-    ReliableSketch) — that is what a worker can ship back over the wire.
-    Whether the collected shards additionally *merge* into one sketch is the
-    stricter ``mergeable`` contract; the routed ``sharded()`` view works for
-    every snapshotable family.
-    """
-
-    def __init__(
-        self,
-        algorithm: str,
-        memory_bytes: float,
-        workers: int,
-        transport: Transport,
-        seed: int = 0,
-        sketch_kwargs: dict | None = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("worker count must be positive")
-        if not supports_snapshots(algorithm):
-            raise UnmergeableSketchError(
-                f"{algorithm} cannot be ingested remotely: distributed collection "
-                "requires state-snapshot support (state_snapshot/state_restore); "
-                "snapshotable families are CM/CU/Count and ReliableSketch"
-            )
-        self.algorithm = algorithm
-        self.memory_bytes = memory_bytes
-        self.workers = workers
-        self.seed = seed
-        self.sketch_kwargs = dict(sketch_kwargs or {})
-        self.transport = transport
-        self.router = partition_router(seed, workers)
-        self.items_per_worker = np.zeros(workers, dtype=np.int64)
-        self.channels: list[Channel] = transport.launch(worker_main, workers)
-        for shard_id, channel in enumerate(self.channels):
-            config = WorkerConfig(
-                algorithm, memory_bytes, seed, shard_id, workers, self.sketch_kwargs
-            )
-            channel.send(encode_frame(MSG_CONFIG, config.to_payload()))
-
-    def send_batch(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
-        """Partition one chunk and ship each worker its routed sub-batch.
-
-        Sub-batches reuse the parent batch's packed encodings
-        (``EncodedKeyBatch.take``) and arrive in stream order per worker —
-        exactly the local ``ShardedSketch.insert_batch`` routing, over a wire.
-        """
-        batch = keys if isinstance(keys, EncodedKeyBatch) else EncodedKeyBatch(keys)
-        value_array = Sketch._batch_values(values, len(batch))
-        for shard_id, positions in enumerate(partition_positions(self.router, batch)):
-            if positions.size:
-                self.items_per_worker[shard_id] += positions.size
-                payload = encode_batch(batch.take(positions), value_array[positions])
-                self.channels[shard_id].send(encode_frame(MSG_BATCH, payload))
-
-    def send_stream(self, items: Iterable, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-        """Chunk an iterable of ``(key, value)`` pairs through :meth:`send_batch`."""
-        for keys, values in iter_key_value_chunks(items, chunk_size):
-            self.send_batch(keys, values)
-
-    def collect(self) -> tuple[list[Sketch], list[dict]]:
-        """Snapshot every worker and restore the states into local replicas.
-
-        Returns ``(shard_sketches, metas)`` in shard order.  Each restored
-        replica is bit-identical to the worker's sketch, so the pair
-        (replicas, router seed) reconstructs the full sharded state locally.
-        """
-        for channel in self.channels:
-            channel.send(encode_frame(MSG_SNAPSHOT_REQUEST))
-        sketches: list[Sketch] = []
-        metas: list[dict] = []
-        for shard_id, channel in enumerate(self.channels):
-            frame = channel.recv()
-            if frame is None:
-                raise WireFormatError(f"worker {shard_id} closed before sending a snapshot")
-            msg_type, payload = decode_frame(frame)
-            if msg_type != MSG_SNAPSHOT:
-                raise WireFormatError(
-                    f"expected SNAPSHOT from worker {shard_id}, got message type {msg_type}"
-                )
-            state, algorithm, meta = decode_state(payload)
-            if algorithm != self.algorithm:
-                raise WireFormatError(
-                    f"worker {shard_id} snapshot is for {algorithm!r}, "
-                    f"expected {self.algorithm!r}"
-                )
-            if meta.get("items") != int(self.items_per_worker[shard_id]):
-                raise WireFormatError(
-                    f"worker {shard_id} ingested {meta.get('items')} items, "
-                    f"coordinator routed {int(self.items_per_worker[shard_id])}"
-                )
-            replica = WorkerConfig(
-                self.algorithm, self.memory_bytes, self.seed, shard_id,
-                self.workers, self.sketch_kwargs,
-            ).build()
-            replica.state_restore(state)
-            sketches.append(replica)
-            metas.append(meta)
-        return sketches, metas
-
-    def shutdown(self) -> None:
-        """Tell every worker to exit and close the collector-side channels."""
-        for channel in self.channels:
-            try:
-                channel.send(encode_frame(MSG_SHUTDOWN))
-            except (WireFormatError, OSError):
-                pass  # already closed
-        self.transport.close()
-        self.transport.join(timeout=30)
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(channel.bytes_sent for channel in self.channels)
-
-    @property
-    def bytes_received(self) -> int:
-        return sum(channel.bytes_received for channel in self.channels)
 
 
 def tree_merge(sketches: Sequence[Sketch]) -> Sketch:
@@ -347,120 +124,17 @@ def tree_merge(sketches: Sequence[Sketch]) -> Sketch:
     return nodes[0]
 
 
-@dataclass(frozen=True)
-class DistributedIngestResult:
-    """Everything one distributed ingest run produced.
-
-    ``shard_sketches`` are the restored worker replicas (shard order);
-    ``merged`` is their tree-merge — for CM/Count bit-identical to a single
-    sketch fed the whole stream, for CU an upper bound with the documented
-    merge semantics, and ``None`` for snapshotable-but-unmergeable families
-    (ReliableSketch), whose shards have no lossless combination.
-    ``sharded()`` wraps the replicas back into a routed
-    :class:`ShardedSketch`, which answers queries bit-identically to local
-    sharded ingest for *every* supported family (CU and ReliableSketch
-    included: per-shard states are exact; only the cross-shard merge is
-    weaker or absent).
-    """
-
-    algorithm: str
-    transport: str
-    workers: int
-    seed: int
-    memory_bytes: float
-    shard_sketches: list[Sketch]
-    worker_metas: list[dict]
-    merged: Sketch | None
-    items_per_worker: tuple[int, ...]
-    ingest_seconds: float
-    merge_seconds: float
-    bytes_sent: int
-    bytes_received: int
-
-    @property
-    def total_items(self) -> int:
-        return int(sum(self.items_per_worker))
-
-    def sharded(self) -> ShardedSketch:
-        """The restored shards behind the canonical router (routed queries)."""
-        sharded = ShardedSketch(self.shard_sketches, seed=self.seed)
-        sharded.items_per_shard[:] = np.asarray(self.items_per_worker, dtype=np.int64)
-        return sharded
-
-
-def run_distributed_ingest(
-    algorithm: str,
-    memory_bytes: float,
-    items: Iterable,
-    *,
-    workers: int = 2,
-    transport: str | Transport = "inproc",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int = 0,
-    sketch_kwargs: dict | None = None,
-) -> DistributedIngestResult:
-    """Ingest ``items`` over ``workers`` remote shards and collect the merge.
-
-    ``transport`` is a backend name (``inproc``/``pipe``/``tcp``) or a
-    pre-built :class:`Transport` (e.g. a ``TcpTransport`` awaiting external
-    workers).  Either way the transport is *consumed*: a Transport launches
-    workers once, and this function shuts them down and closes every channel
-    before returning — pass a fresh instance per run.  ``items`` is any
-    iterable of ``(key, value)`` pairs — a
-    :class:`~repro.streams.items.Stream` works as-is.
-    """
-    backend = create_transport(transport) if isinstance(transport, str) else transport
-    coordinator = IngestCoordinator(
-        algorithm, memory_bytes, workers, backend, seed=seed, sketch_kwargs=sketch_kwargs
-    )
-    try:
-        start = time.perf_counter()
-        coordinator.send_stream(items, chunk_size=chunk_size)
-        shard_sketches, metas = coordinator.collect()
-        ingest_seconds = time.perf_counter() - start
-        bytes_sent = coordinator.bytes_sent
-        bytes_received = coordinator.bytes_received
-    finally:
-        coordinator.shutdown()
-
-    start = time.perf_counter()
-    if shard_sketches[0].mergeable:
-        merged = tree_merge([copy.deepcopy(sketch) for sketch in shard_sketches])
-    else:
-        # Snapshotable but order-dependent (ReliableSketch): the routed
-        # sharded() view is the queryable result; there is no lossless merge.
-        merged = None
-    merge_seconds = time.perf_counter() - start
-
-    return DistributedIngestResult(
-        algorithm=algorithm,
-        transport=backend.name,
-        workers=workers,
-        seed=seed,
-        memory_bytes=memory_bytes,
-        shard_sketches=shard_sketches,
-        worker_metas=metas,
-        merged=merged,
-        items_per_worker=tuple(int(count) for count in coordinator.items_per_worker),
-        ingest_seconds=ingest_seconds,
-        merge_seconds=merge_seconds,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Dynamic ingest: live resharding, failure recovery, flow control
+# The fleet: live resharding, failure recovery, flow control
 #
-# The static pipeline above assumes the worker fleet outlives the stream.
-# The dynamic layer drops that assumption.  Keys hash to a *fixed* set of
-# partitions (the canonical partition hash), each worker owns a set of
-# partitions with one full-budget sketch per partition, and the
-# partition->worker assignment is epoch-versioned (`EpochRouter`).  Moving a
-# partition is quiesce -> snapshot -> epoch flip -> handoff (+ journal
-# replay under faults), so a partition's state lineage is continuous no
-# matter how many owners it passes through — which keeps every family's
-# per-partition state bit-identical to a static `partitions`-shard fleet.
+# Keys hash to a *fixed* set of partitions (the canonical partition hash),
+# each worker owns a set of partitions with one full-budget sketch per
+# partition, and the partition->worker assignment is epoch-versioned
+# (`EpochRouter`).  Moving a partition is quiesce -> snapshot -> epoch flip
+# -> handoff (+ journal replay under faults), so a partition's state lineage
+# is continuous no matter how many owners it passes through — which keeps
+# every family's per-partition state bit-identical to a local
+# `partitions`-shard `ShardedSketch`.
 
 
 class WorkerUnavailable(RuntimeError):
@@ -473,11 +147,13 @@ class WorkerUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class DynamicWorkerConfig:
-    """CONFIG payload of a dynamic worker: its owned partitions and the epoch.
+    """CONFIG payload of a worker: its owned partitions and the epoch.
 
-    Unlike the static :class:`WorkerConfig` (one shard sketch per worker),
-    a dynamic worker builds one full-budget replica *per owned partition*,
-    because partitions — not workers — are the unit of state migration.
+    Travels as the first frame on every channel, so workers are stateless
+    until configured — a TCP worker process can be started with nothing but
+    the collector's address.  A worker builds one full-budget replica *per
+    owned partition*, because partitions — not workers — are the unit of
+    state migration.
     """
 
     algorithm: str
@@ -528,15 +204,16 @@ class DynamicWorkerConfig:
 
 
 def dynamic_worker_main(channel: Channel) -> None:
-    """The dynamic worker's event loop (same code on every transport).
+    """The worker node's event loop (same code on every transport).
 
-    Beyond the static loop it understands the epoch-fenced frames:
-    ROUTED_BATCH (apply if current, *reject* if stale — at-most-once),
+    Frames in: CONFIG (build the owned partitions' sketches), the
+    epoch-fenced ROUTED_BATCH (apply if current, *reject* if stale —
+    at-most-once),
     HANDOFF (install a migrated partition and adopt the new epoch),
     per-partition SNAPSHOT_REQUEST (optionally releasing ownership — the
     quiesce step), HEARTBEAT (echo liveness + ingest stats), and CREDIT
     grants flowing back after every batch so the coordinator's outstanding
-    window stays bounded.
+    window stays bounded; SHUTDOWN / EOF ends the loop.
 
     Epoch rule: the coordinator is the routing authority, so frames fenced
     at a *newer* epoch fast-forward the worker; frames fenced at an *older*
@@ -712,16 +389,16 @@ class DynamicIngestCoordinator:
       coordinator over the same directory **resumes** the fleet from the
       persisted checkpoints — recovery from a coordinator crash no longer
       needs a surviving process's memory.
-    * ``MSG_BATCH`` flow control: every routed frame consumes a credit from
-      the owner's window (``credit_limit``); workers return one credit per
-      frame applied (or rejected), so a slow worker back-pressures the
-      coordinator instead of growing an unbounded inbox.
+    * ``MSG_ROUTED_BATCH`` flow control: every routed frame consumes a
+      credit from the owner's window (``credit_limit``); workers return one
+      credit per frame applied (or rejected), so a slow worker
+      back-pressures the coordinator instead of growing an unbounded inbox.
       ``max_outstanding`` records the high-water mark.
 
     Placement invariant: keys hash to ``partitions`` fixed partitions, each
     with its own full-budget sketch, so per-partition state is bit-identical
-    to a static ``partitions``-shard fleet (local
-    :class:`~repro.sketches.sharded.ShardedSketch`) regardless of how many
+    to a local ``partitions``-shard
+    :class:`~repro.sketches.sharded.ShardedSketch` regardless of how many
     reshards happened — for *every* snapshotable family, CU and
     ReliableSketch included.
     """
@@ -758,8 +435,9 @@ class DynamicIngestCoordinator:
             raise ValueError("heartbeat timeout must be positive")
         if not supports_snapshots(algorithm):
             raise UnmergeableSketchError(
-                f"{algorithm} cannot be ingested remotely: dynamic ingest requires "
-                "state-snapshot support (state_snapshot/state_restore)"
+                f"{algorithm} cannot be ingested remotely: distributed collection "
+                "requires state-snapshot support (state_snapshot/state_restore); "
+                "snapshotable families are CM/CU/Count and ReliableSketch"
             )
         self.algorithm = algorithm
         self.memory_bytes = memory_bytes
@@ -797,10 +475,13 @@ class DynamicIngestCoordinator:
             )
             for partition in range(partitions)
         }
-        #: Batches sent per partition since its last snapshot — the replay
-        #: window of a handoff under faults and the lost window of a
-        #: no-replay recovery.
-        self._journal: dict[int, list[tuple[EncodedKeyBatch, np.ndarray]]] = {
+        #: Routed payloads sent per partition since its last snapshot, as
+        #: ``(encoded payload, item count)`` — the replay window of a
+        #: handoff under faults and the lost window of a no-replay recovery.
+        #: Holding the encoded bytes (not the batch objects) keeps the
+        #: journal one buffer per frame, and replay re-sends them re-fenced
+        #: at the new epoch, with no re-encode.
+        self._journal: dict[int, list[tuple[bytes, int]]] = {
             partition: [] for partition in range(partitions)
         }
 
@@ -928,11 +609,12 @@ class DynamicIngestCoordinator:
 
     # -- data path -----------------------------------------------------------
 
-    def _send_routed(self, partition: int, batch: EncodedKeyBatch, values: np.ndarray) -> None:
-        """Ship one partition sub-batch to its current owner, surviving deaths.
+    def _send_routed(self, partition: int, payload: bytes, items: int) -> None:
+        """Ship one encoded partition sub-batch to its owner, surviving deaths.
 
-        Journals the batch on success; a dead owner triggers recovery (which
-        re-places the partition) and the send retries against the new owner.
+        Journals the payload on success; a dead owner triggers recovery (which
+        re-places the partition and flips the epoch) and the send retries
+        against the new owner, re-fenced at the current epoch.
         """
         while True:
             owner = self.router.owner(partition)
@@ -942,19 +624,15 @@ class DynamicIngestCoordinator:
                 continue
             try:
                 self._acquire_credit(handle)
-                handle.channel.send(
-                    encode_frame(
-                        MSG_ROUTED_BATCH,
-                        encode_routed_batch(self.epoch, partition, batch, values),
-                    )
-                )
+                payload = refence_routed_batch(payload, self.epoch)
+                handle.channel.send(encode_frame(MSG_ROUTED_BATCH, payload))
             except WorkerUnavailable as dead:
                 self._recover(dead.worker_id)
                 continue
             except (WireFormatError, OSError):
                 self._recover(handle.worker_id)
                 continue
-            self._journal[partition].append((batch, values))
+            self._journal[partition].append((payload, items))
             if len(self._journal[partition]) >= self.journal_limit:
                 self.checkpoint(partition)
             return
@@ -967,7 +645,10 @@ class DynamicIngestCoordinator:
         value_array = Sketch._batch_values(values, len(batch))
         for _, partition, positions in self.router.route(batch):
             self.items_per_partition[partition] += positions.size
-            self._send_routed(partition, batch.take(positions), value_array[positions])
+            payload = encode_routed_batch(
+                self.epoch, partition, batch.take(positions), value_array[positions]
+            )
+            self._send_routed(partition, payload, positions.size)
 
     def send_stream(self, items: Iterable, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         """Chunk an iterable of ``(key, value)`` pairs through :meth:`send_batch`."""
@@ -1260,11 +941,11 @@ class DynamicIngestCoordinator:
             self._install(target, partition, state, meta, epoch)
             targets[partition] = self.router.owner(partition)
             if self.replay_on_recovery:
-                for batch, values in entries:
-                    self._send_routed(partition, batch, values)
-                    replayed_items += len(batch)
+                for payload, items in entries:
+                    self._send_routed(partition, payload, items)
+                    replayed_items += items
             else:
-                window = sum(len(batch) for batch, _ in entries)
+                window = sum(items for _, items in entries)
                 lost_items += window
                 lost_batches += len(entries)
                 self.items_lost_per_partition[partition] += window
@@ -1340,11 +1021,12 @@ class DynamicIngestCoordinator:
 
 @dataclass(frozen=True)
 class DynamicIngestResult:
-    """Everything one dynamic ingest run produced.
+    """Everything one distributed ingest run produced.
 
     ``partition_sketches`` are the restored per-partition replicas (partition
-    order) — bit-identical to a static ``partitions``-shard fleet for every
-    family whenever nothing was lost.  ``merged`` is their tree-merge (CM /
+    order) — bit-identical to the shards of a local ``partitions``-shard
+    :class:`~repro.sketches.sharded.ShardedSketch` for every family whenever
+    nothing was lost.  ``merged`` is their tree-merge (CM /
     Count bit-identical to single-node, CU upper-bound, ``None`` for
     unmergeable-but-snapshotable families).  ``recoveries`` documents every
     worker death and its exact lost window; ``handoffs`` every live
@@ -1406,13 +1088,23 @@ def run_dynamic_ingest(
     sketch_kwargs: dict | None = None,
     actions: dict[int, Callable[["DynamicIngestCoordinator"], None]] | None = None,
 ) -> DynamicIngestResult:
-    """Ingest ``items`` over a dynamic fleet, optionally resharding mid-stream.
+    """Ingest ``items`` over a worker fleet and collect the merge.
+
+    The fleet can reshard or lose workers mid-stream without moving a
+    counter.
 
     ``actions`` maps a chunk index to a callable invoked with the
     coordinator *before* that chunk is sent — the hook the chaos suite and
     the reshard-under-load benchmark use to split/merge/kill mid-ingest
-    deterministically (chunk counts, not wall clocks).  Like the static
-    runner, the transport is consumed.
+    deterministically (chunk counts, not wall clocks).
+
+    ``transport`` is a backend name (``inproc``/``pipe``/``tcp``) or a
+    pre-built :class:`Transport` (e.g. a ``TcpTransport`` awaiting external
+    workers).  Either way the transport is *consumed*: it launches workers
+    once, and this function shuts them down and closes every channel before
+    returning — pass a fresh instance per run.  ``items`` is any iterable
+    of ``(key, value)`` pairs — a :class:`~repro.streams.items.Stream`
+    works as-is.  ``partitions`` defaults to ``workers``.
 
     ``heartbeat_interval`` probes the fleet between chunks at that cadence;
     ``heartbeat_timeout`` bounds each ack wait.  ``store_dir`` opens a

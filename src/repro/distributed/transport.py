@@ -61,7 +61,8 @@ class ChannelTimeoutError(WireFormatError):
 
 #: How a worker entry point looks to every transport: a callable taking the
 #: worker-side channel.  ``pipe`` additionally requires it to be picklable
-#: (a module-level function such as ``repro.distributed.ingest.worker_main``).
+#: (a module-level function such as
+#: ``repro.distributed.ingest.dynamic_worker_main``).
 WorkerFn = Callable[["Channel"], None]
 
 

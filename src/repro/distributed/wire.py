@@ -72,8 +72,8 @@ _FRAME_HEADER = struct.Struct(">2sBBI")
 FRAME_HEADER_SIZE = _FRAME_HEADER.size  # 8 bytes
 
 # Message types.
-MSG_CONFIG = 1  # collector -> worker: WorkerConfig JSON
-MSG_BATCH = 2  # collector -> worker: one routed key/value chunk
+MSG_CONFIG = 1  # collector -> worker / server: configuration JSON
+MSG_BATCH = 2  # client -> server: one key/value chunk to ingest
 MSG_SNAPSHOT_REQUEST = 3  # collector -> worker: send your state
 MSG_SNAPSHOT = 4  # worker -> collector: sketch state + ingest stats
 MSG_SHUTDOWN = 5  # collector -> worker: drain and exit
@@ -579,6 +579,26 @@ def encode_routed_batch(
     except struct.error as error:
         raise WireFormatError(f"invalid routed-batch fields: {error}") from None
     return header + encode_batch(keys, values)
+
+
+def refence_routed_batch(payload: bytes, epoch: int) -> bytes:
+    """Re-stamp an encoded ``MSG_ROUTED_BATCH`` payload at ``epoch``.
+
+    The partition and the batch body are kept byte for byte, so the result
+    equals :func:`encode_routed_batch` at ``epoch`` without re-encoding a
+    key — how a coordinator replays journaled frames after an epoch flip.
+    A payload already fenced at ``epoch`` is returned as is.
+    """
+    if len(payload) < _ROUTED_HEADER.size:
+        raise WireFormatError("truncated routed-batch payload")
+    fenced_epoch, partition = _ROUTED_HEADER.unpack_from(payload)
+    if fenced_epoch == epoch:
+        return payload
+    try:
+        header = _ROUTED_HEADER.pack(epoch, partition)
+    except struct.error as error:
+        raise WireFormatError(f"invalid routed-batch fields: {error}") from None
+    return header + payload[_ROUTED_HEADER.size :]
 
 
 def decode_routed_batch(

@@ -68,9 +68,9 @@ class ExperimentSettings:
     #: Transport backend for distributed ingest (``"inproc"``, ``"pipe"`` or
     #: ``"tcp"``); ``None`` fills sketches in-process.  With a transport set,
     #: snapshot-supporting families (CM/CU/Count and ReliableSketch) ingest
-    #: on ``shards`` remote workers (one shard per
+    #: on ``shards`` remote workers (one partition per
     #: worker, batches shipped as wire frames) and the evaluated sketch is
-    #: rebuilt from the collected worker snapshots — bit-identical to the
+    #: rebuilt from the collected partition snapshots — bit-identical to the
     #: local sharded fill, because key->worker placement reuses the exact
     #: ShardedSketch partition.  Families without snapshot support fall back
     #: to the local fill over the identical partition, so a grid mixing both
@@ -179,12 +179,11 @@ def _fill_sketch_with_kernel(
             "has no local epoch writer to rotate (drop one of the two knobs)"
         )
     if settings.transport is not None:
-        from repro.distributed import run_distributed_ingest
-        from repro.distributed.ingest import DEFAULT_CHUNK_SIZE
+        from repro.distributed.ingest import DEFAULT_CHUNK_SIZE, run_dynamic_ingest
         from repro.sketches.registry import supports_snapshots
 
         if supports_snapshots(name):
-            result = run_distributed_ingest(
+            result = run_dynamic_ingest(
                 name,
                 memory_bytes,
                 stream,

@@ -3,9 +3,9 @@
 The serving layer deliberately reuses the distributed-ingest machinery
 instead of growing its own networking stack:
 
-* **Writes** travel as the existing ``MSG_BATCH`` frames (packed key
-  encodings, value compression) — a remote writer feeds a service exactly
-  the way a coordinator feeds an ingest worker.
+* **Writes** travel as ``MSG_BATCH`` frames (packed key encodings, value
+  compression) — the same batch payload a coordinator ships to an ingest
+  worker inside its routed frames.
 * **Reads** travel as the new ``MSG_QUERY``/``MSG_QUERY_REPLY`` frames
   (:mod:`repro.distributed.wire`), each reply stamped with the epoch id
   that answered it.
@@ -13,9 +13,9 @@ instead of growing its own networking stack:
   channel is a channel, whether it carries ingest batches or queries.
 
 :func:`serve_main` is the server-side event loop (symmetric to
-``ingest.worker_main``): stateless until a CONFIG frame describes the
-service, then ingesting batches and answering queries until the channel
-closes.  :class:`QueryClient` is the caller side.  :class:`ServingSession`
+``ingest.dynamic_worker_main``): stateless until a CONFIG frame describes
+the service, then ingesting batches and answering queries until the
+channel closes.  :class:`QueryClient` is the caller side.  :class:`ServingSession`
 wires one server behind any transport backend and hands back a connected
 client — the entry point of ``benchmarks/bench_serving.py``.
 """
@@ -162,9 +162,10 @@ class ServeConfig:
     """Everything a remote server needs to build its :class:`SketchService`.
 
     Travels as the first frame on a serving channel (the serving analogue of
-    ``ingest.WorkerConfig``), so a TCP server process can be started with
-    nothing but a listen address.  ``shards > 1`` builds the service over a
-    :class:`~repro.sketches.sharded.ShardedSketch` of full-budget replicas.
+    ``ingest.DynamicWorkerConfig``), so a TCP server process can be started
+    with nothing but a listen address.  ``shards > 1`` builds the service
+    over a :class:`~repro.sketches.sharded.ShardedSketch` of full-budget
+    replicas.
 
     ``store_dir`` makes the service durable: :meth:`build_service` opens a
     :class:`~repro.store.SketchStore` there, recovers the newest valid
@@ -394,7 +395,7 @@ def serve_main(channel: Channel) -> None:
 
     Frames in: CONFIG (build the service), BATCH (ingest through the epoch
     writer), QUERY (answer from the latest published epoch),
-    SHUTDOWN / EOF (exit).  Mirrors ``ingest.worker_main`` — and is
+    SHUTDOWN / EOF (exit).  Mirrors ``ingest.dynamic_worker_main`` — and is
     launchable by any ``Transport`` the same way.
     """
     frame = channel.recv()

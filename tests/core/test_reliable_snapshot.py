@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ReliableSketch
-from repro.distributed.ingest import run_distributed_ingest
+from repro.distributed.ingest import run_dynamic_ingest
 from repro.distributed.wire import decode_state, encode_state
 from repro.hashing.families import _keys_from_arrays_per_key, _keys_to_arrays_per_key
 from repro.kernels.interning import KeyInterner
@@ -174,7 +174,7 @@ def test_distributed_ingest_of_reliable_sketch(transport):
     """Remote Ours ingest: routed answers equal local sharded ingest."""
     stream = zipf_stream(12_000, skew=1.1, universe=2500, seed=9)
     items = [(item.key, item.value) for item in stream]
-    result = run_distributed_ingest(
+    result = run_dynamic_ingest(
         "Ours", MEMORY, items, workers=2, transport=transport, chunk_size=1024, seed=0
     )
     assert result.merged is None  # snapshotable, not mergeable
@@ -182,7 +182,7 @@ def test_distributed_ingest_of_reliable_sketch(transport):
     local.insert_stream(items, batch_size=1024)
     keys = stream.keys()
     assert (result.sharded().query_batch(keys) == local.query_batch(keys)).all()
-    assert list(result.items_per_worker) == local.items_per_shard.tolist()
+    assert list(result.items_per_partition) == local.items_per_shard.tolist()
 
 
 def test_sharded_snapshot_round_trip():

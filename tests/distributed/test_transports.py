@@ -26,7 +26,7 @@ FRAMES = [
 
 
 def echo_worker(channel):
-    """Echo every frame until shutdown — a minimal stand-in for worker_main."""
+    """Echo every frame until shutdown — a minimal stand-in for dynamic_worker_main."""
     while True:
         frame = channel.recv()
         if frame is None:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed import run_distributed_ingest
 from repro.distributed.ingest import run_dynamic_ingest
 from repro.experiments.runner import ExperimentSettings, run_sketch
 from repro.sketches.registry import build_sketch, competitor_names, supports_snapshots
@@ -147,10 +146,12 @@ def test_fleets_are_bit_identical(trace, name):
     keys = trace.key_array.tolist()
     results = []
     for stream in (trace, list(trace)):
-        static = run_distributed_ingest(name, MEMORY, stream, workers=2, chunk_size=300, seed=SEED)
-        dynamic = run_dynamic_ingest(name, MEMORY, stream, workers=2, partitions=3,
-                                     chunk_size=300, seed=SEED)
-        results.append([fingerprint(result.sharded(), keys) for result in (static, dynamic)])
+        one_per_worker = run_dynamic_ingest(name, MEMORY, stream, workers=2,
+                                            chunk_size=300, seed=SEED)
+        spread = run_dynamic_ingest(name, MEMORY, stream, workers=2, partitions=3,
+                                    chunk_size=300, seed=SEED)
+        results.append([fingerprint(result.sharded(), keys)
+                        for result in (one_per_worker, spread)])
     assert results[0] == results[1]
 
 

@@ -117,6 +117,18 @@ def test_ingest_collect_inproc_end_to_end(capsys):
     assert "bit-identical to single-node ingest: True" in output
 
 
+def test_ingest_collect_reshard_end_to_end(capsys):
+    assert main([
+        "ingest-collect", "--transport", "inproc", "--shards", "2", "--partitions", "4",
+        "--reshard", "--count", "4000", "--memory-bytes", "8192", "--batch-size", "500", "--verify",
+    ]) == 0
+    output = capsys.readouterr().out
+    assert "split worker" in output and "merged worker" in output
+    assert "handoff: partition" in output
+    assert "bit-identical to single-node ingest: True" in output
+    assert "bit-identical to local sharded ingest: True" in output
+
+
 def test_ingest_collect_tcp_self_hosted(capsys):
     assert main([
         "ingest-collect", "--transport", "tcp", "--shards", "2",
@@ -323,11 +335,6 @@ def test_durability_flag_validation(tmp_path):
     with pytest.raises(SystemExit):
         main(["ingest-collect", "--partitions", "2",
               "--heartbeat-timeout", "-1"])
-    # Heartbeats and persisted checkpoints exist only on the dynamic fleet.
-    with pytest.raises(SystemExit):
-        main(["ingest-collect", "--heartbeat-interval", "1"])
-    with pytest.raises(SystemExit):
-        main(["ingest-collect", "--store", store])
     # A resumed fleet carries history local re-ingest cannot mirror.
     with pytest.raises(SystemExit):
         main(["ingest-collect", "--partitions", "2", "--store", store,
