@@ -1,14 +1,19 @@
 """Conflict-free update kernels vs. the PR 1 per-item batch loops.
 
 Measures, for every order-dependent family ported onto the kernel
-subsystem (CU, ReliableSketch with and without the mice filter, Elastic)
-and for every available kernel backend (``python-replay``,
-``numpy-grouped``, and ``numba`` when installed), the batch-insert and
-batch-query throughput over the same Zipfian workload
-``bench_batch_throughput.py`` uses — and verifies on the *full stream*
-that each backend leaves the sketch bit-identical to the scalar insert
-loop (estimates for every key, hash-call accounting and, for
-ReliableSketch, the failure/settling statistics).
+subsystem (CU, ReliableSketch with and without the mice filter, Elastic,
+Coco, HashPipe, PRECISION) and for both kernel backends (``python-replay``
+and ``numpy-grouped``), the batch-insert and batch-query throughput over
+the same Zipfian workload ``bench_batch_throughput.py`` uses — and
+verifies on the *full stream* that each backend leaves the sketch
+bit-identical to the scalar insert loop (estimates for every key,
+hash-call accounting and, for ReliableSketch, the failure/settling
+statistics).
+
+Inserts are timed on the ``int64`` key and value slices that
+:func:`~repro.streams.items.iter_key_value_chunks` cuts from the stream
+before the clock starts — the chunks every real fill hands to
+``insert_batch``.
 
 Two baselines anchor the speedups.  The scalar reference fill is *timed*
 (``per_item_insert_ips``): it inserts one item at a time through the
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -38,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import ReliableSketch
-from repro.kernels import available_backends, use_backend
-from repro.metrics.throughput import measure_batch_throughput
+from repro.kernels import BACKEND_NAMES, use_backend
+from repro.metrics.throughput import ThroughputResult, measure_batch_throughput
 from repro.sketches.registry import build_sketch
+from repro.streams.items import iter_key_value_chunks
 from repro.streams.synthetic import zipf_stream
 
 #: Families whose order-dependent inner loops run on the kernel subsystem.
@@ -61,14 +68,12 @@ DEFAULT_CHUNK = 65_536
 DEFAULT_MEMORY_BYTES = 64 * 1024
 
 
-def _fill_batched(sketch, items, chunk_size):
-    return measure_batch_throughput(
-        lambda chunk, s=sketch: s.insert_batch(
-            [item[0] for item in chunk], [item[1] for item in chunk]
-        ),
-        items,
-        chunk_size,
-    )
+def _fill_batched(sketch, chunks, count: int) -> ThroughputResult:
+    """Time ``insert_batch`` over pre-built ``(keys, values)`` chunks."""
+    start = time.perf_counter()
+    for keys, values in chunks:
+        sketch.insert_batch(keys, values)
+    return ThroughputResult(operations=count, seconds=time.perf_counter() - start)
 
 
 def _bit_identical(reference, expected, insert_calls, candidate, keys) -> bool:
@@ -130,16 +135,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     stream = zipf_stream(args.count, skew=args.skew, seed=args.seed + 1)
-    items = [(item.key, item.value) for item in stream]
+    items = list(zip(stream.key_array.tolist(), stream.value_array.tolist()))
+    chunks = list(iter_key_value_chunks(stream, args.chunk_size))
     keys = stream.keys()
     query_keys = keys + [10**9 + i for i in range(25)]
-    # Measure the replay baseline first so the faster backends can report
-    # their speedup against it.
-    backends = tuple(
-        name
-        for name in ("python-replay", "numpy-grouped", "numba")
-        if name in available_backends()
-    )
+    # Measure the replay baseline first so the default backend can report
+    # its speedup against it.
+    backends = sorted(BACKEND_NAMES, key=lambda name: name != "python-replay")
     pr1 = _load_pr1_baselines(args.baseline)
     print(
         f"stream: {len(items)} items, {len(keys)} distinct keys, skew {args.skew}; "
@@ -162,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         for backend in backends:
             with use_backend(backend):
                 sketch = build_sketch(family, args.memory_bytes, seed=args.seed)
-            insert = _fill_batched(sketch, items, args.chunk_size)
+            insert = _fill_batched(sketch, chunks, len(items))
             identical = _bit_identical(reference, expected, insert_calls, sketch, query_keys)
             query = measure_batch_throughput(
                 lambda chunk, s=sketch: s.query_batch(chunk), keys, args.chunk_size
@@ -191,12 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                 + ("" if identical else "  BIT-IDENTITY FAILED")
             )
 
-    try:
-        import numba  # noqa: F401 - version probe only
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     payload = {
         "workload": {
             "stream": "zipf",
@@ -211,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": np.__version__,
-            "numba": numba_version,
+            "cpu_count": os.cpu_count(),
         },
         "baseline_source": str(args.baseline.name) if pr1 else None,
         "results": results,

@@ -15,12 +15,6 @@ Run the memory sweep or the throughput comparison on the batch datapath::
     repro-cli fig4 --batch-size 4096
     repro-cli fig10 --batch-size 4096
 
-Pin the update-kernel backend of the order-dependent sketches (results are
-bit-identical across backends; ``REPRO_KERNEL`` is the env-var equivalent)::
-
-    repro-cli fig10 --batch-size 4096 --kernel numpy-grouped
-    repro-cli fig10 --batch-size 4096 --kernel numba
-
 Fan a sweep out over worker processes (bit-identical results) or run the
 sketches sharded (hash-partitioned distributed-ingest model: S full-budget
 replicas over a key partition, so accuracy and memory describe that
@@ -76,18 +70,11 @@ Print the three tables::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from repro.experiments import deployment, error, outliers, parameters, sensing, speed, tables
 from repro.experiments.datasets import DEFAULT_SCALE
-from repro.kernels import (
-    BACKEND_NAMES,
-    KERNEL_ENV_VAR,
-    KernelUnavailableError,
-    set_default_backend,
-)
 from repro.metrics.memory import BYTES_PER_KB
 
 
@@ -538,7 +525,7 @@ def _cmd_ingest_worker(args) -> None:
 
 
 def _reshard_actions(chunks_total: int) -> dict:
-    """The ``--reshard`` schedule of a stream of ``chunks_total`` chunks.
+    """The ``--reshard`` schedule of a stream of ``chunks_total >= 3`` chunks.
 
     Splits the busiest worker a third of the way in and folds the new
     worker back at two thirds: the quiesce -> snapshot -> epoch flip ->
@@ -562,17 +549,21 @@ def _reshard_actions(chunks_total: int) -> dict:
             print(f"  [chunk {2 * chunks_total // 3}] merged worker "
                   f"{new_ids[-1]} into {target} (epoch {coordinator.epoch})")
 
-    return {max(1, chunks_total // 3): split, max(2, 2 * chunks_total // 3): merge}
+    return {chunks_total // 3: split, 2 * chunks_total // 3: merge}
 
 
 def _cmd_ingest_collect(args) -> None:
     """Distribute a synthetic stream over ingest workers and merge the result.
 
     Keys hash to ``--partitions`` fixed partitions (default: ``--shards``,
-    or ``max(shards, 2)`` with ``--reshard``) spread over ``--shards``
-    workers.  With ``--verify`` the merge is checked against single-node
-    ingest (mergeable families) and the routed answers against a local
-    ``partitions``-shard sketch (every family).
+    or ``2 * shards`` with ``--reshard``, so every worker owns two
+    partitions and a split has one to move) spread over ``--shards``
+    workers.  ``--reshard`` needs a stream of at least three batches (its
+    split and merge fire a third and two thirds of the way in) and more
+    partitions than workers (a split moves partitions).  With
+    ``--verify`` the merge is checked against single-node ingest (mergeable
+    families) and the routed answers against a local ``partitions``-shard
+    sketch (every family).
     """
     from repro.distributed.ingest import run_dynamic_ingest
     from repro.distributed.transport import TcpTransport
@@ -585,9 +576,22 @@ def _cmd_ingest_collect(args) -> None:
     count = args.count if args.count is not None else 200_000
     skew = args.skew if args.skew is not None else 1.1
     chunk_size = args.batch_size or 8192
+    chunks_total = -(-count // chunk_size)
+    if args.reshard and chunks_total < 3:
+        raise ValueError(
+            f"--reshard needs a stream of at least 3 batches (it splits a "
+            f"third of the way in and merges at two thirds); --count {count} "
+            f"at --batch-size {chunk_size} gives {chunks_total}"
+        )
     partitions = args.partitions
     if partitions is None:
-        partitions = max(args.shards, 2) if args.reshard else args.shards
+        partitions = 2 * args.shards if args.reshard else args.shards
+    if args.reshard and partitions <= args.shards:
+        raise ValueError(
+            f"--reshard needs more partitions than workers, or the split has "
+            f"no partition to move; --partitions {partitions} over --shards "
+            f"{args.shards} gives each worker one"
+        )
 
     transport_name = args.transport or "inproc"
     if transport_name == "tcp":
@@ -610,7 +614,7 @@ def _cmd_ingest_collect(args) -> None:
 
     actions = None
     if args.reshard:
-        actions = _reshard_actions(max(1, -(-len(stream) // chunk_size)))
+        actions = _reshard_actions(chunks_total)
     start = time.perf_counter()
     result = run_dynamic_ingest(
         algorithm,
@@ -793,11 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run sharded fills on remote ingest workers over this "
                              "backend (results are bit-identical: remote routing "
                              "equals local routing); required form of ingest-collect")
-    parser.add_argument("--kernel", choices=("auto",) + BACKEND_NAMES, default=None,
-                        help="update-kernel backend for the order-dependent insert "
-                             "paths (CU / mice filter / ReliableSketch / Elastic); "
-                             "every backend is bit-identical to the scalar loop, so "
-                             "this only changes speed (default: REPRO_KERNEL or auto)")
     # Connection-oriented flags default to None sentinels so main() can
     # reject their use on commands that would silently ignore them (the
     # --shards policy); the commands fill in the documented defaults.
@@ -831,14 +830,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ingest-collect: hash keys to this many fixed "
                              "partitions (>= --shards); partitions, not "
                              "workers, are the unit of state migration "
-                             "(default: --shards, or max(shards, 2) with "
+                             "(default: --shards, or 2 x --shards with "
                              "--reshard)")
     ingest.add_argument("--reshard", action="store_true",
                         help="ingest-collect: split the busiest worker a third of "
                              "the way into the stream and merge it back at two "
                              "thirds — a live quiesce/snapshot/epoch-flip/handoff "
-                             "demo (combine with --verify for the bit-identity "
-                             "check)")
+                             "demo; needs at least 3 batches and more partitions "
+                             "than workers (combine with --verify for the "
+                             "bit-identity check)")
     serving = parser.add_argument_group(
         "online serving", "options of serve / query"
     )
@@ -936,15 +936,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 0 (0 = one per CPU core)")
     if args.max_tracked_keys is not None and args.max_tracked_keys <= 0:
         parser.error("--max-tracked-keys must be a positive integer")
-    if args.kernel is not None:
-        # Bit-identical knob, honoured by every command.  Setting both the
-        # process default and the environment variable makes the choice
-        # reach process-pool workers regardless of their start method.
-        try:
-            set_default_backend(args.kernel)
-        except KernelUnavailableError as error:
-            parser.error(str(error))
-        os.environ[KERNEL_ENV_VAR] = args.kernel
     if args.transport is not None and args.experiment not in _TRANSPORT_COMMANDS:
         parser.error(
             f"--transport is not supported by {args.experiment} "

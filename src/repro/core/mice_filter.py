@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.hashing import EncodedKeyBatch, HashFamily
 from repro.kernels import resolve_backend
-from repro.kernels.dispatch import KernelBackend
 from repro.kernels.scalar import saturating_apply
 
 
@@ -38,15 +37,10 @@ class MiceFilter:
         "2-array mice filter").
     seed:
         Hash-family seed.
-    kernel:
-        Update-kernel backend for ``absorb_batch`` — a name, a resolved
-        :class:`~repro.kernels.dispatch.KernelBackend` (ReliableSketch
-        passes its own down so sketch and filter always agree), or ``None``
-        for the configured default.
     """
 
     def __init__(self, memory_bytes: float, counter_bits: int = 2, arrays: int = 2,
-                 seed: int = 0, kernel: str | KernelBackend | None = None) -> None:
+                 seed: int = 0) -> None:
         if memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
         if counter_bits <= 0 or counter_bits > 32:
@@ -61,9 +55,7 @@ class MiceFilter:
         self._family = HashFamily(seed)
         self._hashes = self._family.draw_many(arrays, self.width)
         self._tables = np.zeros((arrays, self.width), dtype=np.int64)
-        if not isinstance(kernel, KernelBackend):
-            kernel = resolve_backend(kernel)
-        self._kernel = kernel
+        self._kernel = resolve_backend()
 
     # ------------------------------------------------------------------ API
     def absorb(self, key: object, value: int) -> int:

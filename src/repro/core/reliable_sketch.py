@@ -107,7 +107,6 @@ class ReliableSketch(Sketch):
         seed: int = 0,
         emergency: EmergencyStore | None = None,
         use_emergency: bool = False,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> None:
@@ -121,7 +120,7 @@ class ReliableSketch(Sketch):
         # threshold floors (see repro.kernels.scalar), which is what both
         # the scalar path and every kernel backend use.
         self._lam_floors = [int(threshold) for threshold in self._thresholds]
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         # Key interning: dense integer ids shared by all layers, assigned on
         # first contact; the kernels' changed-bucket sync reads the inverse
         # map (`id_to_key`).  ``max_interned_keys`` bounds it against
@@ -139,7 +138,6 @@ class ReliableSketch(Sketch):
                 counter_bits=config.mice_filter_bits,
                 arrays=config.mice_filter_arrays,
                 seed=seed + 1,
-                kernel=self._kernel,
             )
         self.use_emergency = use_emergency or emergency is not None
         self._emergency: EmergencyStore | None = emergency
@@ -168,7 +166,6 @@ class ReliableSketch(Sketch):
         use_mice_filter: bool = True,
         seed: int = 0,
         use_emergency: bool = False,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> "ReliableSketch":
@@ -181,7 +178,7 @@ class ReliableSketch(Sketch):
             r_lambda=r_lambda,
             use_mice_filter=use_mice_filter,
         )
-        return cls(config, seed=seed, use_emergency=use_emergency, kernel=kernel,
+        return cls(config, seed=seed, use_emergency=use_emergency,
                    max_interned_keys=max_interned_keys,
                    interner_eviction=interner_eviction)
 
@@ -197,7 +194,6 @@ class ReliableSketch(Sketch):
         use_mice_filter: bool = True,
         seed: int = 0,
         use_emergency: bool = False,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> "ReliableSketch":
@@ -218,7 +214,7 @@ class ReliableSketch(Sketch):
             r_lambda=r_lambda,
             use_mice_filter=use_mice_filter,
         )
-        return cls(config, seed=seed, use_emergency=use_emergency, kernel=kernel,
+        return cls(config, seed=seed, use_emergency=use_emergency,
                    max_interned_keys=max_interned_keys,
                    interner_eviction=interner_eviction)
 

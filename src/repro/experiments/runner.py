@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.experiments.parallel import parallel_map
-from repro.kernels import use_backend
 from repro.metrics.accuracy import AccuracyReport, evaluate_accuracy
 from repro.sketches.base import Sketch
 from repro.sketches.registry import build_sketch
@@ -77,13 +76,6 @@ class ExperimentSettings:
     #: kinds stays comparable.  Purely an execution knob: results never
     #: change, only where the ingest work runs.
     transport: str | None = None
-    #: Update-kernel backend for the order-dependent insert paths
-    #: (``"numba"``, ``"numpy-grouped"``, ``"python-replay"`` or ``"auto"``);
-    #: ``None`` keeps the process default (``REPRO_KERNEL`` or auto).  Every
-    #: backend is bit-identical to the scalar loop, so — like ``batch_size``
-    #: and ``workers`` — this only changes how fast sketches fill, never any
-    #: result (see :mod:`repro.kernels`).
-    kernel: str | None = None
     #: Epoch length of the serving layer, in items; ``None`` fills sketches
     #: directly.  When set, the local fill runs through the epoch writer of
     #: ``repro.serve.snapshots`` (publishing an immutable snapshot every
@@ -160,19 +152,7 @@ def _fill_sketch(
     both use the same partition router.  Sketches without snapshot support
     (the non-mergeable families) take the local path over the identical
     partition, which produces the same state remote ingest would.
-
-    ``settings.kernel`` selects the update-kernel backend for everything
-    built here (kernels bind at sketch construction); because the override
-    is applied inside this function it also takes effect inside process-pool
-    workers, which re-enter it with the shipped settings.
     """
-    with use_backend(settings.kernel):
-        return _fill_sketch_with_kernel(name, memory_bytes, stream, settings)
-
-
-def _fill_sketch_with_kernel(
-    name: str, memory_bytes: float, stream: Stream, settings: ExperimentSettings
-) -> Sketch:
     if settings.transport is not None and settings.epoch_items is not None:
         raise ValueError(
             "epoch_items cannot be combined with transport: the remote fill "
@@ -438,15 +418,14 @@ def run_windowed_fill(
             "writer whose publish history could be retained"
         )
     snapshots: list = []
-    with use_backend(settings.kernel):
-        sketch = _sketch_factory(name, settings)(memory_bytes)
-        writer = EpochWriter(
-            sketch, publish_every_items=epoch_items, on_publish=snapshots.append
-        )
-        chunk_size = settings.batch_size or epoch_items
-        for keys, values in iter_key_value_chunks(stream, chunk_size):
-            writer.ingest(keys, values)
-        final = writer.publish()
+    sketch = _sketch_factory(name, settings)(memory_bytes)
+    writer = EpochWriter(
+        sketch, publish_every_items=epoch_items, on_publish=snapshots.append
+    )
+    chunk_size = settings.batch_size or epoch_items
+    for keys, values in iter_key_value_chunks(stream, chunk_size):
+        writer.ingest(keys, values)
+    final = writer.publish()
     if not snapshots or snapshots[-1].epoch_id != final.epoch_id:
         snapshots.append(final)
     return WindowedFill(

@@ -10,26 +10,20 @@ scalar insert order:
 * :mod:`repro.kernels.scalar` — the shared single-item transitions (and
   the interned-key-id sentinels) every backend is pinned to;
 * :mod:`repro.kernels.python_backend` — per-item replay, the reference;
-* :mod:`repro.kernels.numpy_backend` — pure-NumPy conflict-free grouping:
-  a batch is drained in rounds in which no two updates collide on any
-  counter cell, each round applied as closed-form array expressions;
-* :mod:`repro.kernels.numba_backend` — optional JIT-compiled replay;
-* :mod:`repro.kernels.dispatch` — the runtime registry
-  (``REPRO_KERNEL`` env var, ``--kernel`` CLI flag,
-  ``ExperimentSettings.kernel``, per-sketch ``kernel=`` argument).
+* :mod:`repro.kernels.numpy_backend` — pure-NumPy conflict-free grouping,
+  the default: a batch is drained in rounds in which no two updates
+  collide on any counter cell, each round applied as closed-form array
+  expressions;
+* :mod:`repro.kernels.dispatch` — the two-backend registry
+  (:func:`resolve_backend`, and :func:`use_backend` to switch the default
+  for the sketches built inside a ``with`` block).
 """
 
 from repro.kernels.dispatch import (
-    AUTO,
     BACKEND_NAMES,
-    KERNEL_ENV_VAR,
     KernelBackend,
-    KernelUnavailableError,
-    available_backends,
     default_backend_name,
-    is_backend_available,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.kernels.interning import KeyInterner, KeyInternerOverflowError
@@ -38,16 +32,10 @@ from repro.kernels.scalar import EMPTY_ID, UNKNOWN_ID
 __all__ = [
     "KeyInterner",
     "KeyInternerOverflowError",
-    "AUTO",
     "BACKEND_NAMES",
-    "KERNEL_ENV_VAR",
     "KernelBackend",
-    "KernelUnavailableError",
-    "available_backends",
     "default_backend_name",
-    "is_backend_available",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
     "EMPTY_ID",
     "UNKNOWN_ID",

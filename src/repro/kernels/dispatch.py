@@ -1,51 +1,31 @@
 """Runtime dispatch of the conflict-free update kernels.
 
-Three backends implement one contract (seven update functions operating on
+Two backends implement one contract (seven update functions operating on
 the sketches' numeric state; see :mod:`repro.kernels.python_backend` for
 the reference semantics):
 
-* ``"numba"`` — JIT-compiled per-item replay (optional dependency);
-* ``"numpy-grouped"`` — pure-NumPy conflict-free grouping rounds;
-* ``"python-replay"`` — per-item Python loops (the reference).
+* ``"numpy-grouped"`` — pure-NumPy conflict-free grouping rounds, the
+  default;
+* ``"python-replay"`` — per-item Python loops, the reference the
+  kernel-parity tests compare against.
 
-Selection, in priority order:
-
-1. an explicit name passed to a sketch constructor (``kernel="..."``);
-2. a process-wide override (:func:`set_default_backend`, or temporarily
-   :func:`use_backend` — this is how ``ExperimentSettings.kernel`` and the
-   CLI ``--kernel`` flag apply);
-3. the ``REPRO_KERNEL`` environment variable;
-4. ``"auto"``: the first available backend in the order above.
-
-Requesting ``"numba"`` explicitly when numba is not installed raises
-:class:`KernelUnavailableError` (callers surface a clean error); naming it
-via ``REPRO_KERNEL`` only warns once and falls back to the next available
-backend, so an environment variable baked into a job template can never
-break a numba-free deployment.  Every backend is bit-identical to the
-scalar insert loop, so dispatch is purely a performance knob.
+Each sketch binds :func:`resolve_backend` ``()`` at construction;
+:func:`use_backend` temporarily switches the default for the sketches
+built inside it.  Every backend is bit-identical to the scalar insert
+loop, so the choice only changes speed.  Each backend is one cached
+:class:`KernelBackend` instance, shared by every sketch that binds it.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.kernels import numpy_backend, python_backend
 
-#: Environment variable naming the default backend.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Resolution order of ``"auto"`` (fastest first).
-BACKEND_NAMES = ("numba", "numpy-grouped", "python-replay")
-
-AUTO = "auto"
-
-
-class KernelUnavailableError(RuntimeError):
-    """An explicitly requested kernel backend cannot be loaded."""
+#: The backend names; the first one is the default.
+BACKEND_NAMES = ("numpy-grouped", "python-replay")
 
 
 @dataclass(frozen=True)
@@ -75,130 +55,45 @@ def _backend_from_module(name: str, module) -> KernelBackend:
     )
 
 
-_LOADED: dict[str, KernelBackend] = {}
-_NUMBA_FAILURE: str | None = None
-_DEFAULT_OVERRIDE: str | None = None
-_WARNED_ENV_FALLBACK = False
-
-
-def _load(name: str) -> KernelBackend:
-    """Load (and cache) one backend by name; raise if it cannot be used."""
-    global _NUMBA_FAILURE
-    if name in _LOADED:
-        return _LOADED[name]
-    if name == "numpy-grouped":
-        backend = _backend_from_module(name, numpy_backend)
-    elif name == "python-replay":
-        backend = _backend_from_module(name, python_backend)
-    elif name == "numba":
-        if _NUMBA_FAILURE is not None:
-            raise KernelUnavailableError(_NUMBA_FAILURE)
-        try:
-            from repro.kernels import numba_backend
-        except ImportError as error:
-            _NUMBA_FAILURE = (
-                "kernel backend 'numba' requires the optional numba package "
-                f"(pip install numba): {error}"
-            )
-            raise KernelUnavailableError(_NUMBA_FAILURE) from error
-        backend = _backend_from_module(name, numba_backend)
-    else:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{(AUTO,) + BACKEND_NAMES}"
-        )
-    _LOADED[name] = backend
-    return backend
-
-
-def is_backend_available(name: str) -> bool:
-    """Whether ``name`` can be loaded in this environment."""
-    try:
-        _load(name)
-    except KernelUnavailableError:
-        return False
-    return True
-
-
-def available_backends() -> tuple[str, ...]:
-    """The loadable backend names, in ``"auto"`` resolution order."""
-    return tuple(name for name in BACKEND_NAMES if is_backend_available(name))
-
-
-def _auto_backend() -> KernelBackend:
-    for name in BACKEND_NAMES:
-        try:
-            return _load(name)
-        except KernelUnavailableError:
-            continue
-    raise RuntimeError("no kernel backend available")  # pragma: no cover
+_BACKENDS = {
+    name: _backend_from_module(name, module)
+    for name, module in zip(BACKEND_NAMES, (numpy_backend, python_backend))
+}
+_default_name = BACKEND_NAMES[0]
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a backend name (or the configured default) to an implementation.
+    """The backend called ``name``, or with ``None`` the current default.
 
-    ``None`` follows the default chain (override → ``REPRO_KERNEL`` →
-    auto); ``"auto"`` picks the first available backend.  An unknown name
-    raises ``ValueError``; an explicitly named but unloadable backend
-    raises :class:`KernelUnavailableError`.
+    An unknown name raises ``ValueError``.
     """
-    global _WARNED_ENV_FALLBACK
     if name is None:
-        if _DEFAULT_OVERRIDE is not None:
-            name = _DEFAULT_OVERRIDE
-        else:
-            env_name = os.environ.get(KERNEL_ENV_VAR)
-            if env_name:
-                try:
-                    return resolve_backend(env_name)
-                except KernelUnavailableError as error:
-                    # A baked-in REPRO_KERNEL=numba must never break a
-                    # numba-free install: warn once and fall back.
-                    if not _WARNED_ENV_FALLBACK:
-                        warnings.warn(
-                            f"{KERNEL_ENV_VAR}={env_name!r} is unavailable "
-                            f"({error}); falling back to the next backend",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        _WARNED_ENV_FALLBACK = True
-            return _auto_backend()
-    if name == AUTO:
-        return _auto_backend()
-    return _load(name)
-
-
-def set_default_backend(name: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend.
-
-    The name is validated eagerly so misconfiguration surfaces at the call
-    site, not at the first insert.
-    """
-    if name is not None and name != AUTO:
-        _load(name)
-    global _DEFAULT_OVERRIDE
-    _DEFAULT_OVERRIDE = name
+        name = _default_name
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
+        ) from None
 
 
 def default_backend_name() -> str:
-    """The name the default chain currently resolves to."""
-    return resolve_backend(None).name
+    """The name of the backend newly built sketches bind."""
+    return _default_name
 
 
 @contextmanager
-def use_backend(name: str | None) -> Iterator[None]:
-    """Temporarily override the default backend (``None`` is a no-op).
+def use_backend(name: str) -> Iterator[None]:
+    """Make ``name`` the default backend inside the ``with`` block.
 
-    Only affects sketches *constructed* inside the context — each sketch
-    binds its backend at construction time.
+    Only affects sketches *constructed* inside the block — each sketch
+    binds its backend at construction time.  The previous default comes
+    back on exit, also when the block raises.
     """
-    if name is None:
-        yield
-        return
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    set_default_backend(name)
+    global _default_name
+    previous = _default_name
+    _default_name = resolve_backend(name).name
     try:
         yield
     finally:
-        _DEFAULT_OVERRIDE = previous
+        _default_name = previous

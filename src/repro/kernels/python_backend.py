@@ -5,11 +5,12 @@ This is the reference implementation of the kernel contract (see
 :mod:`repro.kernels.dispatch`): it replays the batch item by item in stream
 order through the exact transition functions the sketches' scalar ``insert``
 paths use, so it is bit-identical to scalar inserts *by construction*.  The
-vectorized backends are pinned to it (and to the scalar path) by the
+vectorized backend is pinned to it (and to the scalar path) by the
 kernel-parity tests.
 
-It is also the fallback of last resort: always available, no dependencies
-beyond NumPy, and roughly as fast as the pre-kernel per-item batch loops.
+It runs only when chosen (``use_backend("python-replay")``): it needs
+nothing beyond NumPy and is roughly as fast as the pre-kernel per-item
+batch loops.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Shared single-item state transitions of the order-dependent sketches.
 
 Every conflict-free update kernel in this package — the pure-Python replay
-backend, the NumPy grouped backend and the optional Numba backend — must be
-bit-identical to inserting the same items one by one.  The functions here
-*are* that per-item semantics, expressed over the numeric struct-of-arrays
-state the sketches now carry (``int64`` counter arrays plus interned key-id
-arrays):
+backend and the NumPy grouped backend — must be bit-identical to inserting
+the same items one by one.  The functions here *are* that per-item
+semantics, expressed over the numeric struct-of-arrays state the sketches
+now carry (``int64`` counter arrays plus interned key-id arrays):
 
 * :func:`cu_apply` — one conservative update (CU sketch);
 * :func:`saturating_apply` — one capped conservative update (mice filter);
@@ -26,13 +25,13 @@ actually evaluated, so a vectorized backend can compute a whole round's
 draws in one shot and still match the scalar replay bit for bit.  Their
 acceptance thresholds are computed as ``float64(value) / float64(count)``
 — both operands converted to float64 *before* the division — which is the
-one form that is bit-identical across Python scalars, NumPy arrays and
-Numba (Python's exact-rational int/int division differs once counters pass
+one form that is bit-identical across Python scalars and NumPy arrays
+(Python's exact-rational int/int division differs once counters pass
 2^53).
 
 The sketches' scalar ``insert`` paths call these directly and the
 ``python-replay`` backend loops over them, so the scalar loop and the
-slowest kernel backend cannot drift apart; the vectorized backends are
+slowest kernel backend cannot drift apart; the vectorized backend is
 pinned to them by the kernel-parity test matrix.
 
 Key identity is integer-encoded: each sketch interns keys into dense ids
@@ -51,8 +50,8 @@ scalar path makes reduces exactly to ``int64`` arithmetic against
 integer exceeds λ iff it exceeds the next integer down), the absorbed value
 ``int(λ - no)`` equals ``floor(λ) - no`` whenever it is positive, and the
 ``no = λ`` lock write truncates to ``floor(λ)`` inside an ``int64`` array.
-Working in ``int64`` keeps all three backends exact (no float rounding at
-counters beyond 2^53) and makes the kernels Numba-friendly.
+Working in ``int64`` keeps both backends exact (no float rounding at
+counters beyond 2^53) and lets the NumPy backend stay in integer arrays.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ def counter_rand(seed: int, position: int) -> float:
     One splitmix64 output: the counter ``position + 1`` is multiplied by
     the golden-gamma increment and finalized, and the top 53 bits become
     the mantissa.  All arithmetic wraps mod 2^64, so the identical bit
-    pattern falls out of Python ints (masked), NumPy ``uint64`` arrays
-    (silent wraparound) and Numba ``uint64`` locals; ``z >> 11 < 2^53``
-    makes the float conversion exact everywhere.
+    pattern falls out of Python ints (masked) and NumPy ``uint64`` arrays
+    (silent wraparound); ``z >> 11 < 2^53`` makes the float conversion
+    exact in both.
     """
     z = (seed + (position + 1) * _SPLITMIX_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -43,8 +43,6 @@ class CocoSketch(Sketch):
     seed:
         Seeds both the hash family and the replacement draws, so runs are
         reproducible.
-    kernel:
-        Update-kernel backend name (``None`` follows the dispatch default).
     max_interned_keys / interner_eviction:
         Bound (and optionally LRU-recycle) the key-interner id space; see
         :class:`repro.kernels.interning.KeyInterner`.
@@ -58,7 +56,6 @@ class CocoSketch(Sketch):
         memory_bytes: float,
         depth: int = 2,
         seed: int = 0,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> None:
@@ -74,7 +71,7 @@ class CocoSketch(Sketch):
         self._keys: list[list[object | None]] = [
             [None] * self.width for _ in range(depth)
         ]
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         self.max_interned_keys = max_interned_keys
         self.interner_eviction = interner_eviction
         self._interner = self._new_interner()

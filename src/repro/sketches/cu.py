@@ -44,7 +44,6 @@ class CUSketch(Sketch):
         memory_bytes: float,
         depth: int = 3,
         seed: int = 0,
-        kernel: str | None = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -54,7 +53,7 @@ class CUSketch(Sketch):
         self._family = HashFamily(seed)
         self._hashes = self._family.draw_many(depth, self.width)
         self._tables = np.zeros((depth, self.width), dtype=np.int64)
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
 
     def insert(self, key: object, value: int = 1) -> None:
         self._check_insert(value)

@@ -59,7 +59,6 @@ class ElasticSketch(Sketch):
         light_ratio: float = 3.0,
         eviction_ratio: int = 8,
         seed: int = 0,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> None:
@@ -83,7 +82,7 @@ class ElasticSketch(Sketch):
         self._heavy_negative = np.zeros(self.heavy_width, dtype=np.int64)
         self._heavy_flags = np.zeros(self.heavy_width, dtype=bool)
         self._light = np.zeros(self.light_width, dtype=np.int64)
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         self._interner = KeyInterner(
             max_keys=max_interned_keys, evict=interner_eviction
         )

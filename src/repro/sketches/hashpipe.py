@@ -54,7 +54,6 @@ class HashPipe(Sketch):
         memory_bytes: float,
         depth: int = 6,
         seed: int = 0,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> None:
@@ -70,7 +69,7 @@ class HashPipe(Sketch):
         self._keys: list[list[object | None]] = [
             [None] * self.width for _ in range(depth)
         ]
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         self.max_interned_keys = max_interned_keys
         self.interner_eviction = interner_eviction
         self._stage_cells = np.zeros((depth, 0), dtype=np.int64)

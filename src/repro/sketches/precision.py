@@ -48,7 +48,6 @@ class Precision(Sketch):
         memory_bytes: float,
         depth: int = 3,
         seed: int = 0,
-        kernel: str | None = None,
         max_interned_keys: int | None = None,
         interner_eviction: str | None = None,
     ) -> None:
@@ -64,7 +63,7 @@ class Precision(Sketch):
         self._keys: list[list[object | None]] = [
             [None] * self.width for _ in range(depth)
         ]
-        self._kernel = resolve_backend(kernel)
+        self._kernel = resolve_backend()
         self.max_interned_keys = max_interned_keys
         self.interner_eviction = interner_eviction
         self._interner = self._new_interner()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import ReliableSketch
 from repro.core.config import LayerSpec, ReliableConfig
-from repro.kernels import available_backends, use_backend
+from repro.kernels import BACKEND_NAMES, use_backend
 from repro.sketches.base import UnmergeableSketchError
 from repro.sketches.coco import CocoSketch
 from repro.sketches.cu import CUSketch
@@ -30,7 +30,7 @@ from repro.sketches.hashpipe import HashPipe
 from repro.sketches.precision import Precision
 from repro.streams import Stream, zipf_stream
 
-BACKENDS = available_backends()
+BACKENDS = BACKEND_NAMES
 
 
 def _width1_reliable(seed: int) -> ReliableSketch:

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.core import ReliableSketch
-from repro.kernels import available_backends, use_backend
+from repro.kernels import BACKEND_NAMES, use_backend
 from repro.sketches.cm import CountMinSketch
 from repro.sketches.coco import CocoSketch
 from repro.sketches.count import CountSketch
@@ -29,7 +29,7 @@ from repro.sketches.spacesaving import SpaceSaving
 from repro.streams import Stream, zipf_stream
 
 
-@pytest.fixture(params=available_backends())
+@pytest.fixture(params=BACKEND_NAMES)
 def kernel_backend(request):
     """Run a test under each available update-kernel backend.
 

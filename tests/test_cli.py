@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -118,15 +120,35 @@ def test_ingest_collect_inproc_end_to_end(capsys):
 
 
 def test_ingest_collect_reshard_end_to_end(capsys):
+    # The default --partitions under --reshard gives every worker two
+    # partitions, so the split and the merge each hand one off.
     assert main([
-        "ingest-collect", "--transport", "inproc", "--shards", "2", "--partitions", "4",
+        "ingest-collect", "--transport", "inproc", "--shards", "2",
         "--reshard", "--count", "4000", "--memory-bytes", "8192", "--batch-size", "500", "--verify",
     ]) == 0
     output = capsys.readouterr().out
     assert "split worker" in output and "merged worker" in output
     assert "handoff: partition" in output
+    assert "across 4 partitions" in output
+    final_epoch = int(re.search(r"final epoch (\d+)", output).group(1))
+    assert final_epoch >= 2
     assert "bit-identical to single-node ingest: True" in output
     assert "bit-identical to local sharded ingest: True" in output
+
+
+@pytest.mark.parametrize("flags, message", [
+    # 4000 items at the default 8192-item batch is one batch: the split and
+    # merge hooks would never fire.
+    (["--count", "4000"], "at least 3 batches"),
+    # One partition per worker: the split would have nothing to move.
+    (["--count", "40000", "--partitions", "2"], "more partitions than workers"),
+])
+def test_ingest_collect_reshard_rejects_runs_that_move_nothing(capsys, flags, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ingest-collect", "--transport", "inproc", "--shards", "2",
+              "--reshard", *flags])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_ingest_collect_tcp_self_hosted(capsys):
@@ -145,38 +167,6 @@ def test_fig17_command_runs_small(capsys):
 def test_fig19_command_runs_small(capsys):
     assert main(["fig19", "--scale", "0.001"]) == 0
     assert "KB" in capsys.readouterr().out
-
-
-def test_kernel_option_applies_and_validates(monkeypatch):
-    # --kernel is a bit-identical knob honoured by every command: it sets
-    # the process default and exports REPRO_KERNEL for pool workers.
-    import os
-
-    from repro.kernels import dispatch
-
-    monkeypatch.delenv(dispatch.KERNEL_ENV_VAR, raising=False)
-    previous = dispatch._DEFAULT_OVERRIDE
-    try:
-        assert main(["table1", "--kernel", "python-replay"]) == 0
-        assert dispatch.default_backend_name() == "python-replay"
-        assert os.environ[dispatch.KERNEL_ENV_VAR] == "python-replay"
-    finally:
-        dispatch._DEFAULT_OVERRIDE = previous
-        os.environ.pop(dispatch.KERNEL_ENV_VAR, None)
-    # Unknown backends are an argparse error, not a traceback.
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig4", "--kernel", "sorcery"])
-    assert build_parser().parse_args(["fig4"]).kernel is None
-
-
-def test_kernel_numba_rejected_cleanly_when_missing(monkeypatch):
-    from repro.kernels import dispatch
-
-    if dispatch.is_backend_available("numba"):
-        pytest.skip("numba installed: the clean-rejection path cannot trigger")
-    monkeypatch.delenv(dispatch.KERNEL_ENV_VAR, raising=False)
-    with pytest.raises(SystemExit):
-        main(["table1", "--kernel", "numba"])
 
 
 # --------------------------------------------------------------- serving CLI
