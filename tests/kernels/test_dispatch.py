@@ -60,6 +60,44 @@ def test_use_backend_restores_when_body_raises():
     assert default_backend_name() == before
 
 
+def test_use_backend_nests_and_restores_each_level():
+    with use_backend("python-replay"):
+        outer = CUSketch(1024, seed=0)
+        with use_backend("numpy-grouped"):
+            inner = CUSketch(1024, seed=0)
+            assert default_backend_name() == "numpy-grouped"
+        assert default_backend_name() == "python-replay"
+        after_inner = CUSketch(1024, seed=0)
+    assert default_backend_name() == "numpy-grouped"
+    assert [s._kernel.name for s in (outer, inner, after_inner)] == [
+        "python-replay", "numpy-grouped", "python-replay",
+    ]
+
+
+@pytest.mark.parametrize(
+    "sketch_name", ["CU_fast", "Ours", "Elastic", "Coco", "HashPipe", "PRECISION"],
+)
+def test_each_family_keeps_the_backend_it_was_built_under(sketch_name):
+    # A sketch built inside ``use_backend`` keeps that backend after the
+    # block exits, and answers exactly as one built on the default.
+    from repro.sketches.registry import build_sketch
+    from repro.streams.synthetic import zipf_stream
+
+    stream = zipf_stream(3000, skew=1.2, universe=400, seed=11)
+    with use_backend("python-replay"):
+        reference = build_sketch(sketch_name, 8 * 1024, seed=4)
+    default = build_sketch(sketch_name, 8 * 1024, seed=4)
+    assert reference._kernel is resolve_backend("python-replay")
+    assert default._kernel is resolve_backend("numpy-grouped")
+    if sketch_name == "Ours":
+        assert reference.mice_filter._kernel is reference._kernel
+    for sketch in (reference, default):
+        sketch.insert_batch(stream.key_array, stream.value_array)
+    assert reference._kernel.name == "python-replay"
+    for key in stream.keys():
+        assert reference.query(key) == default.query(key), key
+
+
 def test_experiment_runs_identical_under_each_backend():
     from repro.experiments.runner import ExperimentSettings, run_sketch
     from repro.streams.synthetic import zipf_stream

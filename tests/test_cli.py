@@ -142,6 +142,9 @@ def test_ingest_collect_reshard_end_to_end(capsys):
     (["--count", "4000"], "at least 3 batches"),
     # One partition per worker: the split would have nothing to move.
     (["--count", "40000", "--partitions", "2"], "more partitions than workers"),
+    # Two batches: the split a third of the way in and the merge at two
+    # thirds would land on the same batch.
+    (["--count", "1000", "--batch-size", "500"], "at least 3 batches"),
 ])
 def test_ingest_collect_reshard_rejects_runs_that_move_nothing(capsys, flags, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -150,6 +153,21 @@ def test_ingest_collect_reshard_rejects_runs_that_move_nothing(capsys, flags, me
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
 
+
+
+def test_ingest_collect_reshard_at_three_batches_over_three_shards(capsys):
+    # The shortest stream --reshard accepts still splits and merges, and
+    # the default --partitions doubles an odd shard count too.
+    assert main([
+        "ingest-collect", "--transport", "inproc", "--shards", "3",
+        "--reshard", "--count", "1500", "--memory-bytes", "8192", "--batch-size", "500", "--verify",
+    ]) == 0
+    output = capsys.readouterr().out
+    assert "[chunk 1] split worker" in output and "[chunk 2] merged worker" in output
+    assert output.count("handoff: partition") == 2
+    assert "across 6 partitions; final epoch 2;" in output
+    assert "bit-identical to single-node ingest: True" in output
+    assert "bit-identical to local sharded ingest: True" in output
 
 def test_ingest_collect_tcp_self_hosted(capsys):
     assert main([
