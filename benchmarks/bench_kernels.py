@@ -13,7 +13,8 @@ statistics).
 Inserts are timed on the ``int64`` key and value slices that
 :func:`~repro.streams.items.iter_key_value_chunks` cuts from the stream
 before the clock starts — the chunks every real fill hands to
-``insert_batch``.
+``insert_batch``.  Queries are timed the same way, on ``int64`` slices of
+the distinct keys built before the clock starts.
 
 Two baselines anchor the speedups.  The scalar reference fill is *timed*
 (``per_item_insert_ips``): it inserts one item at a time through the
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.core import ReliableSketch
 from repro.kernels import BACKEND_NAMES, use_backend
-from repro.metrics.throughput import ThroughputResult, measure_batch_throughput
+from repro.metrics.throughput import ThroughputResult
 from repro.sketches.registry import build_sketch
 from repro.streams.items import iter_key_value_chunks
 from repro.streams.synthetic import zipf_stream
@@ -73,6 +74,14 @@ def _fill_batched(sketch, chunks, count: int) -> ThroughputResult:
     start = time.perf_counter()
     for keys, values in chunks:
         sketch.insert_batch(keys, values)
+    return ThroughputResult(operations=count, seconds=time.perf_counter() - start)
+
+
+def _query_batched(sketch, key_chunks, count: int) -> ThroughputResult:
+    """Time ``query_batch`` over pre-built ``int64`` key slices."""
+    start = time.perf_counter()
+    for keys in key_chunks:
+        sketch.query_batch(keys)
     return ThroughputResult(operations=count, seconds=time.perf_counter() - start)
 
 
@@ -138,6 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     items = list(zip(stream.key_array.tolist(), stream.value_array.tolist()))
     chunks = list(iter_key_value_chunks(stream, args.chunk_size))
     keys = stream.keys()
+    distinct = np.asarray(keys, dtype=np.int64)
+    key_chunks = [
+        distinct[start : start + args.chunk_size]
+        for start in range(0, len(distinct), args.chunk_size)
+    ]
     query_keys = keys + [10**9 + i for i in range(25)]
     # Measure the replay baseline first so the default backend can report
     # its speedup against it.
@@ -166,9 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 sketch = build_sketch(family, args.memory_bytes, seed=args.seed)
             insert = _fill_batched(sketch, chunks, len(items))
             identical = _bit_identical(reference, expected, insert_calls, sketch, query_keys)
-            query = measure_batch_throughput(
-                lambda chunk, s=sketch: s.query_batch(chunk), keys, args.chunk_size
-            )
+            query = _query_batched(sketch, key_chunks, len(keys))
             row = {
                 "family": family,
                 "backend": backend,

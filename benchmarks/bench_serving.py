@@ -17,11 +17,10 @@ ratio, one outstanding operation at a time.  Each row of
   identical write stream (CI asserts this flag on every row).
 
 **Concurrency** (the ``"concurrency"`` section): pre-loads one service,
-then sweeps client counts over tcp against two front ends serving it —
-the selector event loop (:class:`~repro.serve.async_server.AsyncSketchServer`)
-and the sequential accept loop (:func:`repro.serve.server.serve_forever`,
-which serves one connection at a time).  Each (server × clients) row runs
-the open-loop generator twice:
+then sweeps client counts over tcp against the selector event loop that
+serves it (:class:`~repro.serve.async_server.AsyncSketchServer`, the
+``repro-cli serve`` front end).  Each client-count row runs the open-loop
+generator twice:
 
 * *blast mode* (``target_qps=0``) — saturation throughput
   (``saturation_qps``): every client streams pipelined requests as fast as
@@ -30,13 +29,10 @@ the open-loop generator twice:
   measured saturation), reporting schedule-relative latency p50/p99/p99.9
   — the open-loop convention, so queueing delay counts.
 
-Every row also carries the BUSY admission-control counters and the same
-``epoch_consistent`` flag (cross-client same-epoch agreement plus final
-bit-identity against a local reference), including across epoch publishes
-forced mid-run on the async rows.  The ``comparison`` block divides async
-by sequential saturation per client count; on a 1-core container the two
-front ends time-slice one CPU, so the ratio reflects fairness and tail
-latency, not parallel speedup — rows below 2x carry that note explicitly.
+Every row also carries the BUSY admission-control counters, the server's
+own drain and frame-error stats, and the same ``epoch_consistent`` flag
+(cross-client same-epoch agreement plus final bit-identity against a local
+reference), including across epoch publishes forced mid-run.
 
 **Temporal** (the ``"temporal"`` section): for each subtractable family,
 drives enough epoch publishes through a bounded ring to force evictions,
@@ -79,14 +75,11 @@ import argparse
 import json
 import os
 import platform
-import socket
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 
-from repro.distributed.transport import SocketChannel
 from repro.serve.async_server import AsyncServingSession
 from repro.serve.errors import EpochGoneError
 from repro.serve.loadgen import (
@@ -95,13 +88,7 @@ from repro.serve.loadgen import (
     run_loadgen,
     run_open_loop,
 )
-from repro.serve.server import (
-    QueryClient,
-    ServeConfig,
-    ServingSession,
-    create_listener,
-    serve_forever,
-)
+from repro.serve.server import ServeConfig, ServingSession
 from repro.sketches.registry import build_sketch
 from repro.streams.synthetic import ZipfGenerator
 
@@ -125,7 +112,6 @@ DEFAULT_CONCURRENCY_REQUESTS = 600
 DEFAULT_CONCURRENCY_READ_BATCH = 16
 DEFAULT_CONCURRENCY_ALGORITHM = "Ours"
 DEFAULT_PRELOAD_ITEMS = 20_000
-SERVER_KINDS = ("sequential", "async")
 
 # --- temporal-section defaults ---------------------------------------------
 #: Only subtractable families answer windowed reads, so the temporal sweep
@@ -141,13 +127,6 @@ TEMPORAL_ONE_CORE_NOTE = (
     "one CPU, so compare the modes' relative qps (pinned/windowed vs "
     "latest) and treat absolute rates and the eviction-overhead ratio as "
     "indicative, not parallel-hardware numbers (see docs/benchmarks.md)"
-)
-
-ONE_CORE_NOTE = (
-    "single-core container: both front ends time-slice one CPU, so the "
-    "async/sequential saturation ratio measures multiplexing overhead, not "
-    "parallel speedup — compare tail latency and fairness instead "
-    "(see docs/benchmarks.md)"
 )
 
 
@@ -179,7 +158,7 @@ def bench_pair(transport: str, algorithm: str, args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Concurrency sweep: async event loop vs sequential accept loop, over tcp.
+# Concurrency sweep: the async event loop under 1..N clients, over tcp.
 
 
 def _preloaded_service(algorithm: str, args):
@@ -200,48 +179,12 @@ def _preloaded_service(algorithm: str, args):
     return service, reference
 
 
-def _sequential_endpoint(service):
-    """The baseline front end: ``serve_forever`` sessions on a thread.
-
-    Connections are served one at a time in accept order — the second
-    client's first reply arrives only after the first client disconnects.
-    Returns ``(connect, shutdown)`` matching the async session's shape.
-    """
-    listener = create_listener("127.0.0.1", 0, backlog=256)
-    host, port = listener.getsockname()[:2]
-    thread = threading.Thread(
-        target=serve_forever, args=(listener, service, None),
-        name="sequential-sketch-server", daemon=True,
-    )
-    thread.start()
-
-    def connect() -> QueryClient:
-        sock = socket.create_connection((host, port), timeout=30.0)
-        sock.settimeout(None)
-        return QueryClient(SocketChannel(sock))
-
-    def shutdown() -> dict:
-        listener.close()  # accept() raises OSError -> the loop exits
-        thread.join(timeout=30)
-        return {}
-
-    return connect, shutdown
-
-
-def bench_concurrency_row(server_kind: str, clients: int, algorithm: str, args) -> dict:
-    """One (server × clients) row: a blast run then a paced run."""
+def bench_concurrency_row(clients: int, algorithm: str, args) -> dict:
+    """One client-count row: a blast run then a paced run."""
     service, reference = _preloaded_service(algorithm, args)
-    if server_kind == "async":
-        session = AsyncServingSession(service, max_inflight=args.max_inflight)
-        connect, shutdown = session.connect, session.shutdown
-        # Rotate epochs mid-run on the async rows: consistency must hold
-        # across publishes.  The sequential loop cannot interleave the
-        # control connection with live sessions, so its rows skip this.
-        flushes = 2
-    else:
-        connect, shutdown = _sequential_endpoint(service)
-        flushes = 0
-
+    session = AsyncServingSession(service, max_inflight=args.max_inflight)
+    # Rotate epochs mid-run: consistency must hold across publishes.
+    flushes = 2
     blast_config = OpenLoopConfig(
         clients=clients,
         requests_per_client=args.concurrency_requests,
@@ -252,7 +195,7 @@ def bench_concurrency_row(server_kind: str, clients: int, algorithm: str, args) 
         seed=args.seed,
         flushes_during_run=flushes,
     )
-    blast = run_open_loop(connect, blast_config, reference=reference)
+    blast = run_open_loop(session.connect, blast_config, reference=reference)
     offered = args.offered_qps if args.offered_qps > 0 else 0.5 * blast.achieved_qps
     paced_config = OpenLoopConfig(
         clients=clients,
@@ -264,13 +207,12 @@ def bench_concurrency_row(server_kind: str, clients: int, algorithm: str, args) 
         seed=args.seed + 1,
         flushes_during_run=flushes,
     )
-    paced = run_open_loop(connect, paced_config, reference=reference)
-    stats = shutdown()
+    paced = run_open_loop(session.connect, paced_config, reference=reference)
+    stats = session.shutdown()
 
     busy = blast.busy_rejected + paced.busy_rejected
     attempts = blast.completed + paced.completed + busy
-    row = {
-        "server": server_kind,
+    return {
         "transport": "tcp",
         "algorithm": algorithm,
         "clients": clients,
@@ -292,49 +234,26 @@ def bench_concurrency_row(server_kind: str, clients: int, algorithm: str, args) 
         "epoch_consistent": blast.epoch_consistent and paced.epoch_consistent,
         "epochs_observed": max(blast.epochs_observed, paced.epochs_observed),
         "client_errors": blast.client_errors + paced.client_errors,
+        "server_stats": stats.to_dict(),
     }
-    if hasattr(stats, "to_dict"):
-        row["server_stats"] = stats.to_dict()
-    return row
 
 
 def run_concurrency_section(args) -> dict:
-    """The whole sweep: ``SERVER_KINDS`` × client counts, plus comparisons."""
+    """The whole sweep: one row per client count."""
     rows = []
     for clients in args.concurrency_client_counts:
-        for server_kind in SERVER_KINDS:
-            row = bench_concurrency_row(
-                server_kind, clients, args.concurrency_algorithm, args
-            )
-            rows.append(row)
-            print(
-                f"{server_kind:>10} x{clients:<2} clients: "
-                f"saturation {row['saturation_qps']:>8,.0f} qps, "
-                f"paced {row['achieved_qps']:,.0f}/{row['offered_qps']:,.0f} qps, "
-                f"p50 {row['latency_p50_ms']:.2f} ms, "
-                f"p99 {row['latency_p99_ms']:.2f} ms, "
-                f"p99.9 {row['latency_p999_ms']:.2f} ms, "
-                f"busy rate {row['busy_rejection_rate']:.4f}, "
-                f"epoch_consistent={row['epoch_consistent']}"
-            )
-
-    one_core = (os.cpu_count() or 1) <= 1
-    comparison = []
-    for clients in args.concurrency_client_counts:
-        by_kind = {
-            row["server"]: row for row in rows if row["clients"] == clients
-        }
-        if len(by_kind) < len(SERVER_KINDS):
-            continue
-        sequential = by_kind["sequential"]["saturation_qps"]
-        ratio = by_kind["async"]["saturation_qps"] / max(sequential, 1e-9)
-        entry = {"clients": clients, "async_vs_sequential_saturation": ratio}
-        if ratio < 2.0 and one_core:
-            entry["note"] = ONE_CORE_NOTE
-            by_kind["async"]["note"] = ONE_CORE_NOTE
-        comparison.append(entry)
-        print(f"async/sequential saturation x{clients} clients: {ratio:.2f}x")
-
+        row = bench_concurrency_row(clients, args.concurrency_algorithm, args)
+        rows.append(row)
+        print(
+            f"x{clients:<2} clients: "
+            f"saturation {row['saturation_qps']:>8,.0f} qps, "
+            f"paced {row['achieved_qps']:,.0f}/{row['offered_qps']:,.0f} qps, "
+            f"p50 {row['latency_p50_ms']:.2f} ms, "
+            f"p99 {row['latency_p99_ms']:.2f} ms, "
+            f"p99.9 {row['latency_p999_ms']:.2f} ms, "
+            f"busy rate {row['busy_rejection_rate']:.4f}, "
+            f"epoch_consistent={row['epoch_consistent']}"
+        )
     return {
         "workload": {
             "algorithm": args.concurrency_algorithm,
@@ -347,7 +266,6 @@ def run_concurrency_section(args) -> dict:
             "seed": args.seed,
         },
         "results": rows,
-        "comparison": comparison,
     }
 
 
@@ -565,7 +483,7 @@ def bench_temporal_row(algorithm: str, args) -> dict:
         / max(publish_seconds_minimal, 1e-9),
         "ring_evictions": ring_evictions,
         "epoch_consistent": consistent,
-        "note": TEMPORAL_ONE_CORE_NOTE,
+        **({"note": TEMPORAL_ONE_CORE_NOTE} if (os.cpu_count() or 1) <= 1 else {}),
     }
 
 
@@ -699,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
 
     concurrency = None
     if not args.skip_concurrency:
-        print("concurrency sweep: async event loop vs sequential accept loop (tcp)")
+        print("concurrency sweep: async event loop under concurrent clients (tcp)")
         concurrency = run_concurrency_section(args)
 
     warm_restart = None

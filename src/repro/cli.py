@@ -282,14 +282,22 @@ def _parse_keys(text: str) -> list[object]:
 
 
 def _cmd_serve(args) -> None:
-    """Serve one sketch online over TCP (sequential sessions or --async)."""
-    from repro.serve.server import ServeConfig, create_listener, serve_forever
+    """Serve one sketch online over TCP on the async event loop.
+
+    Every connection is multiplexed over one shared service, so state a
+    writer client loads is visible to concurrent reader clients.
+    ``--async`` is accepted for compatibility and changes nothing.
+    """
+    # Looked up at call time, not bound at import: a harness that replaces
+    # ``repro.serve.async_server.AsyncSketchServer`` after importing the CLI
+    # (pipebench/server_main.py pins loop settings that way) must be served.
+    from repro.serve.async_server import AsyncSketchServer
+    from repro.serve.server import ServeConfig
 
     host, port = _parse_address(args.bind or "127.0.0.1:29462")
     algorithm = args.algorithm or "CM_fast"
     memory_bytes = args.memory_bytes if args.memory_bytes is not None else 64 * 1024
     publish_every = args.publish_every if args.publish_every is not None else 8192
-    backlog = args.backlog if args.backlog is not None else 128
     config = ServeConfig(
         algorithm,
         memory_bytes,
@@ -308,59 +316,29 @@ def _cmd_serve(args) -> None:
             f"durable store at {args.store}: "
             + (f"warm start from epoch {epoch}" if epoch else "cold start")
         )
-    if args.async_mode:
-        from repro.serve.async_server import AsyncSketchServer
-
-        server = AsyncSketchServer(
-            service,
-            host,
-            port,
-            max_inflight=args.max_inflight if args.max_inflight is not None else 1024,
-            backlog=backlog,
-            drain_timeout=(
-                args.drain_timeout if args.drain_timeout is not None else 10.0
-            ),
-        )
-        bound_host, bound_port = server.address
-        print(
-            f"serving {algorithm} ({memory_bytes:.0f} B budget, epoch every "
-            f"{publish_every} items) on {bound_host}:{bound_port} "
-            f"[async, max {server.max_inflight} in-flight]"
-        )
-        # serve_forever treats KeyboardInterrupt as shutdown(): stop
-        # accepting, finish in-flight requests, flush, close — then report.
-        async_stats = server.serve_forever()
-        print(
-            f"served {async_stats.queries_served} queries over "
-            f"{async_stats.accepted} connection(s); "
-            f"{async_stats.busy_rejected} busy-rejected, "
-            f"{async_stats.frame_errors + async_stats.oversized_rejected} "
-            f"frame errors, drained={async_stats.drained}"
-        )
-    else:
-        # SO_REUSEADDR listener: restarting on the same port must not fail
-        # while old connections sit in TIME_WAIT.
-        listener = create_listener(host, port, backlog=backlog)
-        try:
-            bound_port = listener.getsockname()[1]
-            print(
-                f"serving {algorithm} ({memory_bytes:.0f} B budget, epoch every "
-                f"{publish_every} items) on {host}:{bound_port}"
-            )
-            # Clients are served sequentially over one shared service, so state
-            # a writer session loads persists for later reader sessions.
-            sessions = serve_forever(listener, service, max_sessions=args.max_sessions)
-        except KeyboardInterrupt:
-            sessions = 0
-            print("interrupted; closing the listener")
-        finally:
-            listener.close()
-        stats = service.stats()
-        print(
-            f"served {sessions} client session(s); epoch {stats['epoch_id']}, "
-            f"{stats['items_ingested']} items absorbed, "
-            f"{stats['distinct_keys_tracked']} distinct keys"
-        )
+    server = AsyncSketchServer(
+        service,
+        host,
+        port,
+        max_inflight=args.max_inflight if args.max_inflight is not None else 1024,
+        backlog=args.backlog if args.backlog is not None else 128,
+        drain_timeout=args.drain_timeout if args.drain_timeout is not None else 10.0,
+    )
+    bound_host, bound_port = server.address
+    print(
+        f"serving {algorithm} ({memory_bytes:.0f} B budget, epoch every "
+        f"{publish_every} items) on {bound_host}:{bound_port} "
+        f"[async, max {server.max_inflight} in-flight]"
+    )
+    # serve_forever treats KeyboardInterrupt as shutdown(): stop accepting,
+    # finish in-flight requests, flush, close — then report.
+    stats = server.serve_forever()
+    print(
+        f"served {stats.queries_served} queries over {stats.accepted} "
+        f"connection(s); {stats.busy_rejected} busy-rejected, "
+        f"{stats.frame_errors + stats.oversized_rejected} frame errors, "
+        f"drained={stats.drained}"
+    )
     service.close()
     if args.store is not None:
         store_stats = service.stats().get("store", {})
@@ -742,7 +720,6 @@ _FLAG_COMMANDS = {
     "--partitions": frozenset({"ingest-collect"}),
     "--reshard": frozenset({"ingest-collect"}),
     "--publish-every": frozenset({"serve"}),
-    "--max-sessions": frozenset({"serve"}),
     "--async": frozenset({"serve"}),
     "--max-inflight": frozenset({"serve"}),
     "--drain-timeout": frozenset({"serve"}),
@@ -845,20 +822,17 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--publish-every", type=int, default=None, dest="publish_every",
                          help="serve: epoch length in items — readers lag ingest by at "
                               "most this many items (default: 8192)")
-    serving.add_argument("--max-sessions", type=int, default=None, dest="max_sessions",
-                         help="serve: exit after this many client sessions "
-                              "(default: serve until interrupted; sequential mode only)")
     serving.add_argument("--async", action="store_true", dest="async_mode",
-                         help="serve: multiplex concurrent connections on one "
-                              "event loop (pipelined frames, bounded in-flight "
-                              "queries, graceful drain) instead of sequential "
-                              "sessions")
+                         help="serve: accepted for compatibility; serve always "
+                              "multiplexes concurrent connections on one event "
+                              "loop (pipelined frames, bounded in-flight "
+                              "queries, graceful drain)")
     serving.add_argument("--max-inflight", type=int, default=None, dest="max_inflight",
-                         help="serve --async: bound on globally queued queries; "
+                         help="serve: bound on globally queued queries; "
                               "excess requests get a typed BUSY reply "
                               "(default: 1024)")
     serving.add_argument("--drain-timeout", type=float, default=None, dest="drain_timeout",
-                         help="serve --async: upper bound in seconds on the "
+                         help="serve: upper bound in seconds on the "
                               "graceful drain at shutdown (default: 10)")
     serving.add_argument("--backlog", type=int, default=None,
                          help="serve: listener pending-accept queue length "
@@ -873,7 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--top-k", type=int, default=None, dest="top_k",
                          help="query: print the server's k heaviest keys")
     serving.add_argument("--stats", action="store_true",
-                         help="query: print the service's epoch/cache/staleness stats")
+                         help="query: print the service's epoch, staleness, "
+                              "directory and store stats")
     serving.add_argument("--pipeline", type=int, default=None,
                          help="query: issue the --keys estimates as pipelined "
                               "single-key requests with this many in flight "
@@ -952,7 +927,6 @@ def main(argv: list[str] | None = None) -> int:
         "--partitions": args.partitions,
         "--reshard": args.reshard or None,
         "--publish-every": args.publish_every,
-        "--max-sessions": args.max_sessions,
         "--async": args.async_mode or None,
         "--max-inflight": args.max_inflight,
         "--drain-timeout": args.drain_timeout,
@@ -984,18 +958,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--partitions must be at least --shards")
     if args.publish_every is not None and args.publish_every <= 0:
         parser.error("--publish-every must be a positive integer")
-    if args.max_sessions is not None and args.max_sessions <= 0:
-        parser.error("--max-sessions must be a positive integer")
-    if args.max_sessions is not None and args.async_mode:
-        parser.error("--max-sessions applies to sequential serving only")
     if args.max_inflight is not None and args.max_inflight <= 0:
         parser.error("--max-inflight must be a positive integer")
     if args.drain_timeout is not None and args.drain_timeout <= 0:
         parser.error("--drain-timeout must be positive")
     if args.backlog is not None and args.backlog <= 0:
         parser.error("--backlog must be a positive integer")
-    if (args.max_inflight is not None or args.drain_timeout is not None) and not args.async_mode:
-        parser.error("--max-inflight/--drain-timeout require serve --async")
     if args.top_k is not None and args.top_k <= 0:
         parser.error("--top-k must be a positive integer")
     if args.pipeline is not None and args.pipeline <= 0:

@@ -12,16 +12,16 @@ reader observe a half-applied update:
   *published* epoch, so every answer is bit-identical to querying a frozen
   copy of the sketch at that epoch — reads never contend with inserts.
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.SketchService`:
-  the query front end (``query`` / ``query_batch`` / ``top_k`` / ``stats``)
-  with a bounded LRU answer cache invalidated on epoch publish.
+  the query front end (``query`` / ``query_batch`` / ``top_k`` / ``stats``),
+  every answer computed against the epoch it is stamped with.
 * :mod:`repro.serve.server` — request/response framing layered on the
   distributed ``Transport`` protocol, so the same inproc/pipe/tcp backends
-  that ship ingest batches also serve remote queries
-  (``repro-cli serve`` / ``repro-cli query``).
-* :mod:`repro.serve.async_server` — the concurrent TCP front end: one
-  selector event loop multiplexing every live connection over one shared
-  service, with pipelined frames, bounded in-flight admission control
-  (typed BUSY replies) and graceful drain (``repro-cli serve --async``).
+  that ship ingest batches also serve remote queries, plus the client
+  behind ``repro-cli query``.
+* :mod:`repro.serve.async_server` — the one TCP front end
+  (``repro-cli serve``): a selector event loop multiplexing every live
+  connection over one shared service, with pipelined frames, bounded
+  in-flight admission control (typed BUSY replies) and graceful drain.
 * :mod:`repro.serve.loadgen` — load generation: a closed-loop generator
   (Zipf key mix, configurable read/write ratio) and an open-loop
   multi-client harness (target-qps Poisson arrivals, per-request latency),

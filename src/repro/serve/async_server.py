@@ -1,8 +1,6 @@
 """Async multiplexed serving: thousands of concurrent readers, one event loop.
 
-:func:`~repro.serve.server.serve_forever` accepts and serves one TCP
-session at a time — fine for a demo, a non-starter for "heavy traffic".
-:class:`AsyncSketchServer` is the concurrent front end: a
+:class:`AsyncSketchServer` is the TCP front end of ``repro-cli serve``: a
 ``selectors``-based event loop that multiplexes every live connection over
 one shared :class:`~repro.serve.service.SketchService`.
 
@@ -26,7 +24,8 @@ The moving parts, in the order a request meets them::
 * **Pipelining**: a connection may have any number of requests in flight;
   every parsed query claims a *reply slot* in arrival order, and slots are
   written out strictly in order — so answers (including BUSY rejections)
-  always match the request sequence, exactly like a sequential session.
+  always match the request sequence, exactly like a
+  :func:`~repro.serve.server.serve_channel` session.
 * **Admission control**: at most ``max_inflight`` queries may be queued
   globally.  A query parsed beyond the bound is answered immediately with
   a typed :data:`~repro.distributed.wire.STATUS_BUSY` reply (wire v2) and
@@ -36,7 +35,8 @@ The moving parts, in the order a request meets them::
   thread that calls ``service.ingest``/``flush``, and reads are answered
   from the latest published :class:`~repro.serve.snapshots.EpochSnapshot`
   via the same :func:`~repro.serve.server.answer_request` as the
-  sequential server — answers are bit-identical by construction (pinned by
+  transport-launched :func:`~repro.serve.server.serve_main` — answers are
+  bit-identical by construction (pinned by
   ``tests/serve/test_async_server.py``).
 * **Graceful drain** (:meth:`AsyncSketchServer.shutdown`): stop accepting,
   finish every queued request, flush every write buffer (bounded by

@@ -429,10 +429,8 @@ def _open_loop_worker(
         for _ in range(config.max_inflight_per_client):
             window.release()
         sender_thread.join(timeout=10)
-        # Close eagerly: against the *sequential* accept loop the next
-        # waiting connection is only served once this one disconnects, so
-        # holding sockets open until the end of the run would deadlock the
-        # comparison harness.
+        # Close eagerly: the server frees this connection's buffers while
+        # the other clients are still running.
         client.close()
 
 

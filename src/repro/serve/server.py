@@ -17,7 +17,10 @@ instead of growing its own networking stack:
 the service, then ingesting batches and answering queries until the
 channel closes.  :class:`QueryClient` is the caller side.  :class:`ServingSession`
 wires one server behind any transport backend and hands back a connected
-client — the entry point of ``benchmarks/bench_serving.py``.
+client — the entry point of ``benchmarks/bench_serving.py``.  The TCP
+front end of ``repro-cli serve`` is
+:class:`~repro.serve.async_server.AsyncSketchServer`, which answers with
+the same :func:`answer_request`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 from repro.distributed.transport import (
     Channel,
     ChannelTimeoutError,
-    SocketChannel,
     Transport,
     create_transport,
 )
@@ -72,7 +74,7 @@ from repro.serve.errors import (  # noqa: F401  (re-exports)
     QueryRejectedError,
     ServerBusyError,
 )
-from repro.serve.service import DEFAULT_CACHE_SIZE, SketchService
+from repro.serve.service import SketchService
 from repro.serve.snapshots import DEFAULT_PUBLISH_EVERY_ITEMS, EpochSnapshot
 from repro.temporal import DEFAULT_RING_EPOCHS
 from repro.sketches.base import Sketch, UnmergeableSketchError
@@ -184,7 +186,6 @@ class ServeConfig:
     seed: int = 0
     shards: int = 1
     publish_every_items: int = DEFAULT_PUBLISH_EVERY_ITEMS
-    cache_size: int = DEFAULT_CACHE_SIZE
     max_tracked_keys: int | None = None
     store_dir: str | None = None
     ring_epochs: int = DEFAULT_RING_EPOCHS
@@ -198,7 +199,6 @@ class ServeConfig:
                 "seed": self.seed,
                 "shards": self.shards,
                 "publish_every_items": self.publish_every_items,
-                "cache_size": self.cache_size,
                 "max_tracked_keys": self.max_tracked_keys,
                 "store_dir": self.store_dir,
                 "ring_epochs": self.ring_epochs,
@@ -218,7 +218,6 @@ class ServeConfig:
                 publish_every_items=config.get(
                     "publish_every_items", DEFAULT_PUBLISH_EVERY_ITEMS
                 ),
-                cache_size=config.get("cache_size", DEFAULT_CACHE_SIZE),
                 max_tracked_keys=config.get("max_tracked_keys"),
                 store_dir=config.get("store_dir"),
                 ring_epochs=config.get("ring_epochs", DEFAULT_RING_EPOCHS),
@@ -305,7 +304,6 @@ class ServeConfig:
             sketch,
             factory=self.build_sketch,
             publish_every_items=self.publish_every_items,
-            cache_size=self.cache_size,
             max_tracked_keys=self.max_tracked_keys,
             store=store,
             start_epoch=start_epoch,
@@ -318,9 +316,10 @@ class ServeConfig:
 def answer_request(service: SketchService, payload: bytes) -> bytes:
     """Decode one MSG_QUERY payload, serve it, encode the MSG_QUERY_REPLY.
 
-    Shared by every server front end (transport-launched ``serve_main``,
-    the CLI's TCP accept loop and the async event loop), so request
-    semantics cannot drift between deployment shapes — including the
+    Shared by both server front ends (the transport-launched
+    ``serve_main`` and the async TCP event loop behind ``repro-cli
+    serve``), so request semantics cannot drift between deployment
+    shapes — including the
     temporal extension: pinned-epoch and windowed reads resolve against
     the service's ring here, and a request naming an evicted epoch gets a
     typed :data:`~repro.distributed.wire.STATUS_EPOCH_GONE` reply (echoing
@@ -572,17 +571,17 @@ class QueryClient:
 
         The pipelined read path: requests are streamed without waiting for
         their replies, so one connection amortises its round-trip latency
-        over the whole window (both servers answer pipelined frames; the
-        async server interleaves them with other connections).  Results
-        come back in ``key_batches`` order regardless of BUSY retries —
-        a BUSY reply re-enqueues its batch under a fresh request id *after
-        the policy's backoff delay* (per-batch exponential growth with
-        seeded jitter, so a saturated server is not hammered in a tight
-        resend loop).  ``busy_retries`` bounds the total across the call
-        (``None`` retries forever); the policy's ``deadline_seconds``
-        bounds the whole call — replies are then awaited with a bounded
-        ``recv``, so a server dying mid-pipeline raises
-        :class:`ServeTimeoutError` instead of hanging.
+        over the whole window (``serve_main`` and the async server both
+        answer pipelined frames; the async server interleaves them with
+        other connections).  Results come back in ``key_batches`` order
+        regardless of BUSY retries — a BUSY reply re-enqueues its batch
+        under a fresh request id *after the policy's backoff delay*
+        (per-batch exponential growth with seeded jitter, so a saturated
+        server is not hammered in a tight resend loop).  ``busy_retries``
+        bounds the total across the call (``None`` retries forever); the
+        policy's ``deadline_seconds`` bounds the whole call — replies are
+        then awaited with a bounded ``recv``, so a server dying
+        mid-pipeline raises :class:`ServeTimeoutError` instead of hanging.
         """
         results: list[tuple[np.ndarray, int] | None] = [None] * len(key_batches)
         # (index, earliest send time); 0 = immediately.  Backoff works by
@@ -735,33 +734,3 @@ class ServingSession:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-
-def serve_forever(
-    listener: socket.socket, service: SketchService, max_sessions: int | None = None
-) -> int:
-    """Accept and serve TCP clients sequentially over one shared service.
-
-    The ``repro-cli serve`` accept loop: each accepted connection is served
-    until it disconnects; the service (and its sketch state) persists across
-    sessions, so a writer client can load state that later reader clients
-    query.  A misbehaving client — garbage bytes, a connection dropped
-    mid-frame — ends *its* session, never the server: the error is reported
-    and the loop accepts the next client with the sketch state intact.
-    Returns the number of completed sessions (``max_sessions`` bounds it;
-    ``None`` loops until the listener is closed).
-    """
-    sessions = 0
-    while max_sessions is None or sessions < max_sessions:
-        try:
-            connection, _ = listener.accept()
-        except (OSError, TimeoutError):
-            break
-        channel = SocketChannel(connection)
-        try:
-            serve_channel(channel, service)
-        except (WireFormatError, OSError) as error:
-            print(f"client session ended with an error: {error}")
-        finally:
-            channel.close()
-        sessions += 1
-    return sessions

@@ -9,22 +9,19 @@
 * ``top_k(k)`` — the heaviest keys among those the service has ingested,
   ranked by their epoch estimates (ties broken by first-contact order, so
   the ranking is deterministic);
-* ``stats()`` — epoch id, items absorbed, memory, staleness and cache
+* ``stats()`` — epoch id, items absorbed, memory, staleness and directory
   counters (the ``repro-cli query --stats`` payload);
 * ``ingest(keys, values)`` / ``flush()`` — the write side, delegated to the
   epoch writer.
 
-A bounded LRU **answer cache** sits in front of the scalar ``query`` and
-``top_k`` paths; it is keyed per epoch and cleared on every publish, so a
-cached answer can never outlive the epoch it was computed in.  The batch
-query path bypasses the cache on purpose — one vectorized ``query_batch``
-against the replica is cheaper than per-key cache probes.
+Reads are computed per call against the epoch they are stamped with, so a
+``top_k`` ranks the directory as it stands at the call; only the
+sliding-window delta sketches are memoised, and only within one epoch.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,9 +41,6 @@ from repro.temporal import (
     diff_rankings,
 )
 
-#: Default bound of the per-epoch LRU answer cache.
-DEFAULT_CACHE_SIZE = 4096
-
 
 class SketchService:
     """Snapshot-isolated online query service over one live sketch.
@@ -62,20 +56,15 @@ class SketchService:
         :func:`~repro.serve.snapshots.replicate_sketch`).
     publish_every_items / publish_every_seconds:
         Epoch rotation cadence, forwarded to the writer.
-    cache_size:
-        Bound of the LRU answer cache (0 disables caching).
-    track_keys:
-        Maintain the key directory behind :meth:`top_k` (every distinct key
-        ever ingested, in first-contact order).  The directory grows with
-        the distinct keys — the same deliberate speed-for-memory trade as
-        the kernel interner; disable it for unbounded key spaces, at the
-        price of ``top_k`` raising.
     max_tracked_keys:
-        Bound the directory to a heavy-hitter candidate set.  When the
-        directory overshoots the bound (plus a small slack so pruning is
-        amortized), it is pruned back to the ``max_tracked_keys`` keys with
-        the highest current-epoch estimates (ties kept in first-contact
-        order).  ``top_k`` then ranks *candidates*, not all keys ever seen:
+        The key directory behind :meth:`top_k` holds every distinct key
+        ingested, in first-contact order — the same deliberate
+        speed-for-memory trade as the kernel interner.  This bound turns it
+        into a heavy-hitter candidate set: when the directory overshoots
+        the bound (plus a small slack so pruning is amortized), it is
+        pruned back to the ``max_tracked_keys`` keys with the highest
+        current-epoch estimates (ties kept in first-contact order).
+        ``top_k`` then ranks *candidates*, not all keys ever seen:
         a key pruned while light is invisible to ``top_k`` until it is
         ingested again — see ``docs/api.md`` for the accuracy caveat.
     store:
@@ -110,8 +99,6 @@ class SketchService:
         factory: Callable[[], Sketch] | None = None,
         publish_every_items: int = DEFAULT_PUBLISH_EVERY_ITEMS,
         publish_every_seconds: float | None = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        track_keys: bool = True,
         max_tracked_keys: int | None = None,
         store=None,
         start_epoch: int = 0,
@@ -120,17 +107,8 @@ class SketchService:
         ring_bytes: float | None = None,
         ring_seed: Sequence[EpochSnapshot] = (),
     ) -> None:
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
         if max_tracked_keys is not None and max_tracked_keys <= 0:
             raise ValueError("max_tracked_keys must be positive (or None)")
-        self.cache_size = cache_size
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._cache_epoch = -1
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._track_keys = track_keys
         self.max_tracked_keys = max_tracked_keys
         #: Number of times the bounded directory was pruned.
         self.directory_prunes = 0
@@ -145,6 +123,7 @@ class SketchService:
         # Delta sketches memoised per (later epoch, window); cleared on
         # publish so the memo cannot outgrow one epoch's query mix.
         self._window_cache: dict[tuple[int, int], Sketch] = {}
+        self._window_lock = threading.Lock()
         #: Pinned/windowed reads rejected because their epoch was evicted.
         self.epoch_gone_rejections = 0
         self._change_listeners: list[tuple[Callable[[ChangeReport], None], int, int]] = []
@@ -174,19 +153,18 @@ class SketchService:
             # journal and the sketch — never in one without the other in a
             # direction that loses acknowledged state.
             self._store.append_batch(keys, values)
-        if self._track_keys:
-            # Numpy scalars (an ndarray batch) are stored as native ints:
-            # directory keys are re-queried later as a mixed python list
-            # (ranking, change detection), and the scalar key encoder only
-            # accepts native types.  The type screen runs at C speed, and so
-            # does the first-contact-ordered merge of the batch.
-            tracked = keys
-            if any(issubclass(kind, np.generic) for kind in set(map(type, keys))):
-                tracked = [key.item() if isinstance(key, np.generic) else key for key in keys]
-            self._keys.update(dict.fromkeys(tracked))
-            cap = self.max_tracked_keys
-            if cap is not None and len(self._keys) > cap + max(64, cap // 8):
-                self._prune_directory()
+        # Numpy scalars (an ndarray batch) are stored as native ints:
+        # directory keys are re-queried later as a mixed python list
+        # (ranking, change detection), and the scalar key encoder only
+        # accepts native types.  The type screen runs at C speed, and so
+        # does the first-contact-ordered merge of the batch.
+        tracked = keys
+        if any(issubclass(kind, np.generic) for kind in set(map(type, keys))):
+            tracked = [key.item() if isinstance(key, np.generic) else key for key in keys]
+        self._keys.update(dict.fromkeys(tracked))
+        cap = self.max_tracked_keys
+        if cap is not None and len(self._keys) > cap + max(64, cap // 8):
+            self._prune_directory()
         self._writer.ingest(keys, values)
 
     def _prune_directory(self) -> None:
@@ -209,11 +187,9 @@ class SketchService:
         return self._writer.publish()
 
     def _on_publish(self, epoch: EpochSnapshot) -> None:
-        # A new epoch invalidates every cached answer: answers are per-epoch
-        # facts, and the next probe repopulates against the new replica.
-        with self._cache_lock:
-            self._cache.clear()
-            self._cache_epoch = epoch.epoch_id
+        # Window deltas are per-epoch facts: the next window read recomputes
+        # against the new replica.
+        with self._window_lock:
             self._window_cache.clear()
         # The previous newest ring epoch is the "before" side of per-publish
         # change alerts; captured before the offer (which may also evict).
@@ -276,7 +252,7 @@ class SketchService:
             raise ValueError("window must be a positive epoch count")
         current = self._writer.current
         memo_key = (current.epoch_id, window)
-        with self._cache_lock:
+        with self._window_lock:
             cached = self._window_cache.get(memo_key)
         if cached is not None:
             return cached, current.epoch_id
@@ -288,7 +264,7 @@ class SketchService:
             raise EpochGoneError(earlier_id)
         earlier = self.resolve_epoch(earlier_id)
         sketch = delta_sketch(current, earlier, self._factory)
-        with self._cache_lock:
+        with self._window_lock:
             self._window_cache[memo_key] = sketch
         return sketch, current.epoch_id
 
@@ -328,19 +304,8 @@ class SketchService:
         return self.serve_batch(keys, epoch=epoch, window=window)[0]
 
     def query(self, key: object) -> int:
-        """Point estimate of one key (LRU-cached within the current epoch)."""
-        if not self.cache_size:
-            return int(self._writer.current.sketch.query(key))
-        cache_key = ("q", key)
-        epoch = self._writer.current
-        with self._cache_lock:
-            if self._cache_epoch == epoch.epoch_id and cache_key in self._cache:
-                self._cache.move_to_end(cache_key)
-                self.cache_hits += 1
-                return self._cache[cache_key]
-        estimate = int(epoch.sketch.query(key))
-        self._cache_store(epoch.epoch_id, cache_key, estimate)
-        return estimate
+        """Point estimate of one key from the latest published epoch."""
+        return int(self._writer.current.sketch.query(key))
 
     def top_k(self, k: int, epoch: int | None = None) -> list[tuple[object, int]]:
         """The ``k`` heaviest directory keys by current-epoch estimate.
@@ -358,32 +323,16 @@ class SketchService:
         """:meth:`top_k` plus the id of the epoch that ranked it.
 
         Like :meth:`serve_batch`, the epoch is captured once so the ranking
-        and the stamp cannot straddle a publish.  Pinned rankings rank
-        *today's* candidate directory against the pinned epoch's estimates
-        (the directory itself is not versioned — documented caveat), and
-        bypass the answer cache, which only holds current-epoch facts.
+        and the stamp cannot straddle a publish.  Every ranking, latest or
+        pinned, ranks *today's* candidate directory against that epoch's
+        estimates (the directory itself is not versioned — documented
+        caveat), so keys ingested since the publish rank with their epoch
+        estimate, usually 0.
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        if not self._track_keys:
-            raise ValueError(
-                "top_k needs the key directory; this service was built with "
-                "track_keys=False"
-            )
-        if epoch is not None:
-            snapshot = self.resolve_epoch(epoch)
-            return self._rank_epoch(snapshot, list(self._keys), k), snapshot.epoch_id
-        cache_key = ("topk", k)
-        snapshot = self._writer.current
-        if self.cache_size:
-            with self._cache_lock:
-                if self._cache_epoch == snapshot.epoch_id and cache_key in self._cache:
-                    self._cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                    return list(self._cache[cache_key]), snapshot.epoch_id
-        ranking = self._rank_epoch(snapshot, list(self._keys), k)
-        self._cache_store(snapshot.epoch_id, cache_key, ranking)
-        return list(ranking), snapshot.epoch_id
+        snapshot = self._writer.current if epoch is None else self.resolve_epoch(epoch)
+        return self._rank_epoch(snapshot, list(self._keys), k), snapshot.epoch_id
 
     @staticmethod
     def _rank_epoch(
@@ -472,26 +421,7 @@ class SketchService:
             raise ValueError("k must be positive")
         if min_delta < 1:
             raise ValueError("min_delta must be at least 1")
-        if not self._track_keys:
-            raise ValueError(
-                "change listeners need the key directory; this service was "
-                "built with track_keys=False"
-            )
         self._change_listeners.append((callback, k, min_delta))
-
-    def _cache_store(self, epoch_id: int, cache_key, answer) -> None:
-        if not self.cache_size:
-            return
-        with self._cache_lock:
-            self.cache_misses += 1
-            if self._cache_epoch != epoch_id:
-                # A publish raced this computation: the answer belongs to an
-                # older epoch and must not be cached against the new one.
-                return
-            self._cache[cache_key] = answer
-            self._cache.move_to_end(cache_key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
 
     # ------------------------------------------------------------ accounting
     def stats(self) -> dict:
@@ -514,9 +444,6 @@ class SketchService:
             "distinct_keys_tracked": len(self._keys),
             "max_tracked_keys": self.max_tracked_keys,
             "directory_prunes": self.directory_prunes,
-            "cache_size": self.cache_size,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "algorithm": writer.live_sketch.name,
             "temporal": {
                 **self.ring.stats(),

@@ -167,101 +167,6 @@ def test_sharded_service_over_the_wire():
     assert (served == reference.query_batch(stream.keys())).all()
 
 
-def test_serve_forever_survives_misbehaving_clients(capsys):
-    """Garbage bytes end one session, never the server or its state."""
-    import socket
-    import threading
-
-    from repro.distributed.transport import connect_worker
-    from repro.serve.server import QueryClient, serve_forever
-
-    service = ServeConfig("CM_fast", MEMORY, seed=0).build_service()
-    service.ingest([7, 7, 7])
-    service.flush()
-    listener = socket.create_server(("127.0.0.1", 0), backlog=4)
-    port = listener.getsockname()[1]
-    server = threading.Thread(
-        target=serve_forever, args=(listener, service, 2), daemon=True
-    )
-    server.start()
-    try:
-        # session 1: a non-protocol peer sends garbage and hangs up
-        with socket.create_connection(("127.0.0.1", port)) as rogue:
-            rogue.sendall(b"GET / HTTP/1.1\r\n\r\n")
-        # session 2: a well-behaved client still gets served, state intact
-        client = QueryClient(connect_worker("127.0.0.1", port))
-        estimates, _ = client.query_batch([7])
-        assert estimates.tolist() == [3]
-        client.close()
-    finally:
-        server.join(timeout=15)
-        listener.close()
-    assert "client session ended with an error" in capsys.readouterr().out
-
-
-def test_serve_forever_handles_slowloris_and_truncated_frames(capsys):
-    """The sequential loop shares the async server's hostile-client rules:
-    a byte-at-a-time client is just slow; a mid-frame disconnect or an
-    oversized declared length ends that session only, state intact."""
-    import socket
-    import struct
-    import threading
-
-    from repro.distributed import wire
-    from repro.distributed.transport import SocketChannel, connect_worker
-    from repro.distributed.wire import MSG_QUERY, QUERY_KEYS
-    from repro.serve.server import QueryClient, create_listener, serve_forever
-
-    service = ServeConfig("CM_fast", MEMORY, seed=0).build_service()
-    service.ingest([9] * 4)
-    service.flush()
-    reference = build_sketch("CM_fast", MEMORY, seed=0)
-    reference.insert_batch([9] * 4)
-    listener = create_listener("127.0.0.1", 0, backlog=4)
-    port = listener.getsockname()[1]
-    server = threading.Thread(
-        target=serve_forever, args=(listener, service, 4), daemon=True
-    )
-    server.start()
-    try:
-        # session 1: slowloris — the full frame arrives one byte at a time
-        # and is still answered (blocking recv just waits).
-        frame = wire.encode_frame(
-            MSG_QUERY, wire.encode_query_request(1, QUERY_KEYS, keys=[9])
-        )
-        slow = socket.create_connection(("127.0.0.1", port), timeout=30.0)
-        for byte in frame:
-            slow.sendall(bytes([byte]))
-        channel = SocketChannel(slow)
-        reply = channel.recv()
-        assert reply is not None
-        _, payload = wire.decode_frame(reply)
-        assert wire.decode_query_response(payload).estimates.tolist() == (
-            reference.query_batch([9]).tolist()
-        )
-        channel.close()
-        # session 2: disconnect mid-frame — that session errors out.
-        with socket.create_connection(("127.0.0.1", port)) as truncated:
-            truncated.sendall(frame[:-3])
-        # session 3: oversized declared length — rejected at the header.
-        with socket.create_connection(("127.0.0.1", port)) as hostile:
-            hostile.sendall(
-                struct.pack(">2sBBI", wire.MAGIC, wire.WIRE_VERSION,
-                            MSG_QUERY, wire.MAX_PAYLOAD_BYTES + 1)
-            )
-            assert hostile.recv(1) == b""
-        # session 4: a well-behaved client is still served, state intact.
-        client = QueryClient(connect_worker("127.0.0.1", port))
-        estimates, _ = client.query_batch([9])
-        assert estimates.tolist() == reference.query_batch([9]).tolist()
-        client.close()
-    finally:
-        server.join(timeout=15)
-        listener.close()
-    output = capsys.readouterr().out
-    assert output.count("client session ended with an error") == 2
-
-
 def test_epoch_id_is_stable_between_publishes():
     config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=10**9)
     with ServingSession(config, "inproc") as session:

@@ -1,4 +1,4 @@
-"""SketchService semantics: epoch-pinned reads, the answer cache, top-k."""
+"""SketchService semantics: epoch-pinned reads, top-k, stats."""
 
 from __future__ import annotations
 
@@ -45,35 +45,6 @@ def test_serve_batch_stamps_the_answering_epoch():
     assert estimates.tolist() == [1, 1]
 
 
-def test_cache_hits_within_epoch_and_invalidates_on_publish():
-    service = make_service(publish_every_items=100)
-    service.ingest([5] * 100)
-    assert service.query(5) == 100
-    assert (service.cache_hits, service.cache_misses) == (0, 1)
-    assert service.query(5) == 100
-    assert service.cache_hits == 1
-    service.ingest([5] * 100)  # publishes epoch 2, invalidating the cache
-    assert service.query(5) == 200
-    assert service.cache_misses == 2
-
-
-def test_cache_is_bounded_lru():
-    service = make_service(cache_size=4)
-    service.ingest(list(range(100)))
-    service.flush()
-    for key in range(10):
-        service.query(key)
-    assert len(service._cache) <= 4
-
-
-def test_cache_can_be_disabled():
-    service = make_service(cache_size=0)
-    service.ingest([3, 3])
-    service.flush()
-    assert service.query(3) == 2
-    assert (service.cache_hits, service.cache_misses) == (0, 0)
-
-
 def test_top_k_matches_brute_force():
     service = make_service(name="CM_fast", publish_every_items=10**9)
     stream = zipf_stream(8000, skew=1.3, universe=500, seed=11)
@@ -92,24 +63,23 @@ def test_top_k_matches_brute_force():
     assert all(estimate == estimates[key] for key, estimate in ranking)
 
 
-def test_top_k_is_cached_per_epoch():
-    service = make_service()
-    service.ingest(list(range(50)))
+def test_top_k_ranks_todays_directory_at_one_epoch():
+    service = make_service(publish_every_items=10**9)
+    service.ingest([1] * 5)
     service.flush()
-    first = service.top_k(5)
-    hits_before = service.cache_hits
-    assert service.top_k(5) == first
-    assert service.cache_hits == hits_before + 1
+    assert service.serve_top_k(3) == ([(1, 5)], 1)
+    # Same epoch, nothing ingested in between: the ranking repeats.
+    assert service.serve_top_k(3) == ([(1, 5)], 1)
+    # Keys ingested since the publish join the directory at once and rank
+    # with their epoch-1 estimate.
+    service.ingest([2, 3])
+    assert service.serve_top_k(3) == ([(1, 5), (2, 0), (3, 0)], 1)
 
 
 def test_top_k_validation():
     service = make_service()
     with pytest.raises(ValueError):
         service.top_k(0)
-    untracked = SketchService(build_sketch("CM_fast", MEMORY, seed=0), track_keys=False)
-    untracked.ingest([1, 2, 3])
-    with pytest.raises(ValueError):
-        untracked.top_k(3)
 
 
 def test_stats_counters():
@@ -126,11 +96,6 @@ def test_stats_counters():
     assert stats["distinct_keys_tracked"] == 2500
     assert stats["memory_bytes"] > 0
     assert stats["algorithm"] == "CM"
-
-
-def test_service_rejects_negative_cache():
-    with pytest.raises(ValueError):
-        make_service(cache_size=-1)
 
 
 # ------------------------------------------------------- bounded directory

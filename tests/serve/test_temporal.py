@@ -177,15 +177,8 @@ def test_raising_listener_is_counted_not_fatal():
     assert service.stats()["temporal"]["change_alert_errors"] >= 1
 
 
-def test_change_listener_requires_directory():
-    service = make_service()  # track_keys left on by default?
-    service_untracked = SketchService(
-        build_sketch("CM_fast", MEMORY, seed=0),
-        factory=lambda: build_sketch("CM_fast", MEMORY, seed=0),
-        track_keys=False,
-    )
-    with pytest.raises(ValueError):
-        service_untracked.add_change_listener(lambda report: None)
+def test_change_listener_validation():
+    service = make_service()
     with pytest.raises(ValueError):
         service.add_change_listener(lambda report: None, k=0)
     with pytest.raises(ValueError):

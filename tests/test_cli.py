@@ -191,8 +191,8 @@ def test_fig19_command_runs_small(capsys):
 def test_serving_flags_rejected_elsewhere():
     # Same policy as the ingest flags: serve/query-only flags must never be
     # silently ignored by other commands.
-    for flags in (["--publish-every", "100"], ["--max-sessions", "1"],
-                  ["--keys", "1,2"], ["--top-k", "3"], ["--stats"]):
+    for flags in (["--publish-every", "100"], ["--keys", "1,2"],
+                  ["--top-k", "3"], ["--stats"]):
         with pytest.raises(SystemExit):
             main(["fig4", *flags])
     with pytest.raises(SystemExit):
@@ -206,8 +206,6 @@ def test_serving_validation():
         main(["serve", "--algorithm", "NoSuchSketch"])
     with pytest.raises(SystemExit):
         main(["serve", "--publish-every", "0"])
-    with pytest.raises(SystemExit):
-        main(["serve", "--max-sessions", "0"])
     with pytest.raises(SystemExit):
         main(["query", "--top-k", "0"])
     with pytest.raises(SystemExit):
@@ -232,14 +230,6 @@ def test_async_serving_flags_policy():
 
 
 def test_async_serving_validation():
-    # --max-inflight / --drain-timeout shape the async event loop only.
-    with pytest.raises(SystemExit):
-        main(["serve", "--max-inflight", "8"])
-    with pytest.raises(SystemExit):
-        main(["serve", "--drain-timeout", "2"])
-    # --max-sessions counts sequential sessions; the async loop has none.
-    with pytest.raises(SystemExit):
-        main(["serve", "--async", "--max-sessions", "2"])
     with pytest.raises(SystemExit):
         main(["serve", "--async", "--max-inflight", "0"])
     with pytest.raises(SystemExit):
@@ -282,40 +272,85 @@ def test_ingest_collect_accepts_reliable_sketch(capsys):
 
 
 def test_serve_and_query_end_to_end(capsys):
-    import socket
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--bind", "127.0.0.1:0",
+         "--algorithm", "CM_fast", "--memory-bytes", "16384",
+         "--publish-every", "512"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        match = None
+        for line in server.stdout:
+            match = re.match(r"^serving .* on (\S+):(\d+)", line)
+            if match:
+                break
+        assert match, "server exited before printing its address"
+        address = f"{match.group(1)}:{match.group(2)}"
+        # A writer pushing a synthetic stream, then reads on the same
+        # connection (the serve loop multiplexes; no session limit).
+        assert main(["query", "--connect", address, "--count", "2000",
+                     "--keys", "0,1", "--top-k", "3", "--stats"]) == 0
+        output = capsys.readouterr().out
+        assert "ingested 2000 items" in output
+        assert "answered at epoch" in output
+        assert '"epoch_id"' in output
+        # Ctrl-C is the shutdown signal: drain, report, exit cleanly.
+        server.send_signal(signal.SIGINT)
+        rest, _ = server.communicate(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert server.returncode == 0
+    assert "over 1 connection(s)" in rest
+    assert "drained=True" in rest
+
+
+def test_serve_looks_up_the_server_class_at_call_time(monkeypatch, capsys):
+    # pipebench/server_main.py imports repro.cli, then replaces
+    # repro.serve.async_server.AsyncSketchServer to pin loop settings; the
+    # serve command must build the replacement, with or without --async.
     import threading
 
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    address = f"127.0.0.1:{port}"
+    import repro.cli  # noqa: F401  (imported before the patch, on purpose)
+    import repro.serve.async_server as async_server
 
-    server = threading.Thread(
-        target=main,
-        args=(["serve", "--bind", address, "--algorithm", "CM_fast",
-               "--memory-bytes", "16384", "--publish-every", "512",
-               "--max-sessions", "2"],),
-        daemon=True,
-    )
-    server.start()
-    deadline = 50
-    for _ in range(deadline):
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                break
-        except OSError:
-            import time
+    built = []
 
-            time.sleep(0.1)
-    # session 1: a writer pushing a synthetic stream (consumes the probe
-    # connection slot above plus this one -> use two real sessions)
-    assert main(["query", "--connect", address, "--count", "2000",
-                 "--keys", "0,1", "--top-k", "3", "--stats"]) == 0
-    output = capsys.readouterr().out
-    assert "ingested 2000 items" in output
-    assert "answered at epoch" in output
-    assert '"epoch_id"' in output
-    server.join(timeout=15)
+    class RecordingServer(async_server.AsyncSketchServer):
+        def __init__(self, service, *args, **kwargs):
+            super().__init__(service, *args, **kwargs)
+            built.append(kwargs)
+            self.shutdown()  # serve_forever then drains at once
+
+    monkeypatch.setattr(async_server, "AsyncSketchServer", RecordingServer)
+    for extra in ([], ["--async"]):
+        built.clear()
+        argv = ["serve", "--bind", "127.0.0.1:0", "--max-inflight", "8",
+                "--backlog", "4", "--drain-timeout", "1", *extra]
+        exit_codes = []
+        # On a thread with a deadline: a server the patch cannot reach
+        # would serve forever instead of failing.
+        runner = threading.Thread(
+            target=lambda: exit_codes.append(main(argv)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "serve built a server the patch missed"
+        assert exit_codes == [0]
+        assert built == [{"max_inflight": 8, "backlog": 4, "drain_timeout": 1.0}]
+        assert "drained=True" in capsys.readouterr().out
 
 
 def test_durability_flags_rejected_elsewhere(tmp_path):
