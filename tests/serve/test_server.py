@@ -135,6 +135,39 @@ def test_remote_top_k_and_stats(transport):
         assert stats["algorithm"] == "CU"
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_remote_top_k_sees_keys_ingested_since_publish(transport):
+    """QUERY_TOP_K ranks today's directory against the answering epoch, so
+    a repeated request at one epoch still lists keys written since."""
+    config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=10**9)
+    with ServingSession(config, transport) as session:
+        client = session.client
+        client.ingest([1] * 5)
+        assert client.flush() == 1
+        assert client.top_k(3) == ([(1, 5)], 1)
+        client.ingest([2, 3])
+        assert client.top_k(3) == ([(1, 5), (2, 0), (3, 0)], 1)
+        assert client.flush() == 2
+        assert client.top_k(3) == ([(1, 5), (2, 1), (3, 1)], 2)
+
+
+def test_config_payload_ignores_keys_it_does_not_read():
+    """A CONFIG frame from an older client may still carry ``cache_size``;
+    it decodes to the same config and builds a working service."""
+    from repro.distributed.wire import decode_config, encode_config
+
+    config = ServeConfig("CU_fast", MEMORY, seed=3, publish_every_items=64)
+    payload = config.to_payload()
+    assert "cache_size" not in decode_config(payload)
+    legacy = encode_config({**decode_config(payload), "cache_size": 1024})
+    decoded = ServeConfig.from_payload(legacy)
+    assert decoded == config
+    service = decoded.build_service()
+    service.ingest([4] * 64)
+    estimates, epoch_id = service.serve_batch([4])
+    assert (estimates.tolist(), epoch_id) == ([64], 1)
+
+
 def test_serving_session_serves_reliable_sketch():
     """ReliableSketch (snapshotable, unmergeable) serves remotely too."""
     stream = zipf_stream(5000, skew=1.2, universe=1000, seed=2)

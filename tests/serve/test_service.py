@@ -76,6 +76,57 @@ def test_top_k_ranks_todays_directory_at_one_epoch():
     assert service.serve_top_k(3) == ([(1, 5), (2, 0), (3, 0)], 1)
 
 
+def test_top_k_reranks_when_a_publish_reorders_keys():
+    service = make_service(publish_every_items=10**9)
+    service.ingest([1] * 5 + [2] * 3)
+    service.flush()
+    assert service.serve_top_k(2) == ([(1, 5), (2, 3)], 1)
+    service.ingest([2] * 4)
+    # Until the publish, the ranking is epoch 1's.
+    assert service.serve_top_k(2) == ([(1, 5), (2, 3)], 1)
+    service.flush()
+    assert service.serve_top_k(2) == ([(2, 7), (1, 5)], 2)
+
+
+def test_top_k_does_not_depend_on_earlier_requests():
+    """The answer for one (epoch, k) is the same whatever was asked before."""
+    stream = zipf_stream(3000, skew=1.2, universe=300, seed=4)
+    keys = [item.key for item in stream]
+    asked, fresh = make_service(publish_every_items=10**9), make_service(
+        publish_every_items=10**9
+    )
+    assert set(keys[2000:]) - set(keys[:2000])  # the tail brings new keys
+    for service in (asked, fresh):
+        service.ingest(keys[:2000])
+        service.flush()
+    for k in (1, 10, 1000):
+        asked.top_k(k)
+    for service in (asked, fresh):
+        service.ingest(keys[2000:])  # new directory keys, same epoch
+    for k in (1, 10, 1000):
+        assert asked.serve_top_k(k) == fresh.serve_top_k(k)
+
+
+def test_scalar_query_agrees_with_serve_batch():
+    """``query`` reads the published epoch itself: it agrees with the batch
+    path key by key, before and after a publish."""
+    service = make_service(name="Ours", publish_every_items=10**9)
+    stream = zipf_stream(4000, skew=1.1, universe=600, seed=9)
+    keys = [item.key for item in stream]
+    probe = sorted(set(keys)) + [10**6]
+    service.ingest(keys[:2500])
+    service.flush()
+    before, epoch_id = service.serve_batch(probe)
+    assert epoch_id == 1
+    service.ingest(keys[2500:])
+    assert [service.query(key) for key in probe] == before.tolist()
+    service.flush()
+    after, epoch_id = service.serve_batch(probe)
+    assert epoch_id == 2
+    assert [service.query(key) for key in probe] == after.tolist()
+    assert after.tolist() != before.tolist()
+
+
 def test_top_k_validation():
     service = make_service()
     with pytest.raises(ValueError):

@@ -317,7 +317,8 @@ def test_serve_and_query_end_to_end(capsys):
     assert "drained=True" in rest
 
 
-def test_serve_looks_up_the_server_class_at_call_time(monkeypatch, capsys):
+@pytest.mark.parametrize("mode", [[], ["--async"]], ids=["default", "async"])
+def test_serve_looks_up_the_server_class_at_call_time(mode, monkeypatch, capsys):
     # pipebench/server_main.py imports repro.cli, then replaces
     # repro.serve.async_server.AsyncSketchServer to pin loop settings; the
     # serve command must build the replacement, with or without --async.
@@ -335,22 +336,20 @@ def test_serve_looks_up_the_server_class_at_call_time(monkeypatch, capsys):
             self.shutdown()  # serve_forever then drains at once
 
     monkeypatch.setattr(async_server, "AsyncSketchServer", RecordingServer)
-    for extra in ([], ["--async"]):
-        built.clear()
-        argv = ["serve", "--bind", "127.0.0.1:0", "--max-inflight", "8",
-                "--backlog", "4", "--drain-timeout", "1", *extra]
-        exit_codes = []
-        # On a thread with a deadline: a server the patch cannot reach
-        # would serve forever instead of failing.
-        runner = threading.Thread(
-            target=lambda: exit_codes.append(main(argv)), daemon=True
-        )
-        runner.start()
-        runner.join(timeout=30)
-        assert not runner.is_alive(), "serve built a server the patch missed"
-        assert exit_codes == [0]
-        assert built == [{"max_inflight": 8, "backlog": 4, "drain_timeout": 1.0}]
-        assert "drained=True" in capsys.readouterr().out
+    argv = ["serve", "--bind", "127.0.0.1:0", "--max-inflight", "8",
+            "--backlog", "4", "--drain-timeout", "1", *mode]
+    exit_codes = []
+    # On a thread with a deadline: a server the patch cannot reach would
+    # serve forever instead of failing.
+    runner = threading.Thread(
+        target=lambda: exit_codes.append(main(argv)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "serve built a server the patch missed"
+    assert exit_codes == [0]
+    assert built == [{"max_inflight": 8, "backlog": 4, "drain_timeout": 1.0}]
+    assert "drained=True" in capsys.readouterr().out
 
 
 def test_durability_flags_rejected_elsewhere(tmp_path):
