@@ -119,6 +119,10 @@ class MiceFilter:
             )
         self._tables = tables.astype(np.int64, copy=True)
 
+    def copy_into(self, other: "MiceFilter") -> None:
+        """Overwrite ``other``'s counters with this filter's (same geometry)."""
+        np.copyto(other._tables, self._tables)
+
     def memory_bytes(self) -> float:
         """Actual memory used by the filter counters."""
         return self.arrays * self.width * self.counter_bits / 8

@@ -502,6 +502,56 @@ class ReliableSketch(Sketch):
         self._insert_count = int(stats[2])
         self._query_count = int(stats[3])
 
+    def copy_state_into(self, peer: "ReliableSketch") -> None:
+        """Copy the whole state into ``peer`` as arrays and lists (epoch replicas).
+
+        The counter arrays and the mice-filter table are copied into
+        ``peer``'s own arrays, the candidate-key lists and statistics are
+        copied, and ``peer`` gets a compact interner of only its candidate
+        keys (:meth:`KeyInterner.compact`): no key codec, no per-key
+        interning.  ``peer`` then answers, and keeps ingesting, exactly as
+        a ``state_restore(state_snapshot())`` replica does.  Geometry is
+        checked before anything is written.  The copy needs every bucket's
+        id to name the bucket's key, which ``interner_eviction="lru"``
+        breaks by recycling ids; that mode and an emergency store (which
+        snapshots refuse) take the default snapshot + restore path.
+        """
+        if self._interner.evict is not None or self._emergency is not None:
+            super().copy_state_into(peer)
+            return
+        peer._check_no_emergency("state_restore()")
+        geometry = self._geometry()
+        if peer._geometry() != geometry:
+            raise ValueError(
+                f"cannot copy into a peer with layer widths and filter shape "
+                f"{peer._geometry()}, expected {geometry}"
+            )
+        widths = geometry[0]
+        interner, slot_ids = self._interner.compact(
+            np.concatenate([layer.key_ids for layer in self._layers]),
+            max_keys=peer.max_interned_keys,
+        )
+
+        peer._interner = interner
+        layer_ids = np.split(slot_ids, np.cumsum(widths)[:-1])
+        for layer, target, key_ids in zip(self._layers, peer._layers, layer_ids):
+            np.copyto(target.yes, layer.yes)
+            np.copyto(target.no, layer.no)
+            target.keys = layer.keys.copy()
+            target.key_ids = key_ids
+        if self._filter is not None:
+            self._filter.copy_into(peer._filter)
+        peer.inserts_settled_per_layer = self.inserts_settled_per_layer.copy()
+        peer.insert_failures = self.insert_failures
+        peer.failed_value = self.failed_value
+        peer._insert_count = self._insert_count
+        peer._query_count = self._query_count
+
+    def _geometry(self) -> tuple[list[int], tuple[int, int] | None]:
+        """Layer widths and mice-filter table shape (``None`` without a filter)."""
+        table = None if self._filter is None else (self._filter.arrays, self._filter.width)
+        return [len(layer) for layer in self._layers], table
+
     # --------------------------------------------------------- introspection
     @property
     def depth(self) -> int:

@@ -393,16 +393,28 @@ def encode_state(
     collector validates it restores into the same family), ``meta`` carries
     small JSON-serializable ingest stats (item counts, timings).
     """
-    arrays = []
-    blobs = []
-    for name, array in state.items():
-        array = np.ascontiguousarray(array)
-        arrays.append({"name": name, "dtype": array.dtype.str, "shape": list(array.shape)})
-        blobs.append(array.tobytes())
+    return b"".join(encode_state_parts(state, algorithm, meta))
+
+
+def encode_state_parts(
+    state: dict[str, np.ndarray], algorithm: str, meta: dict | None = None
+) -> list:
+    """The :func:`encode_state` payload as buffers whose ``b"".join`` it is.
+
+    The length-prefixed JSON header as ``bytes``, then every array
+    C-contiguous (the array itself when it already is), in ``state``
+    order.  Callers that checksum and frame the payload, like the store's
+    snapshot files, build their output from these with a single copy.
+    """
+    arrays = [np.ascontiguousarray(array) for array in state.values()]
+    entries = [
+        {"name": name, "dtype": array.dtype.str, "shape": list(array.shape)}
+        for name, array in zip(state, arrays)
+    ]
     header = json.dumps(
-        {"algorithm": algorithm, "arrays": arrays, "meta": meta or {}}
+        {"algorithm": algorithm, "arrays": entries, "meta": meta or {}}
     ).encode("utf-8")
-    return struct.pack(">I", len(header)) + header + b"".join(blobs)
+    return [struct.pack(">I", len(header)) + header, *arrays]
 
 
 def decode_state(payload: bytes) -> tuple[dict[str, np.ndarray], str, dict]:

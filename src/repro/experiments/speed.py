@@ -18,17 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.datasets import DEFAULT_SCALE, dataset, scaled_memory_points
 from repro.experiments.parallel import parallel_map
 from repro.metrics.memory import BYTES_PER_MB
 from repro.metrics.throughput import (
     ShardLoadReport,
-    measure_batch_throughput,
+    measure_chunk_throughput,
     measure_throughput,
     shard_load_report,
 )
 from repro.sketches.registry import build_sketch, competitor_names
 from repro.sketches.sharded import ShardedSketch
+from repro.streams.items import iter_key_value_chunks
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,10 @@ def throughput_comparison(
     """Insertion and query throughput of every algorithm (Figure 10).
 
     With ``batch_size`` set, both inserts and queries run through the batch
-    datapath (``insert_batch`` / ``query_batch``) in chunks of that size;
-    the reported unit is still items per second, so scalar and batch runs
+    datapath (``insert_batch`` / ``query_batch``) in chunks of that size,
+    built before the clock starts: ``int64`` key and value slices for int
+    streams, as the batch datapath ingests them, and key lists otherwise.
+    The reported unit is still items per second, so scalar and batch runs
     are directly comparable.  With ``shards > 1`` every sketch is a
     hash-partitioned :class:`ShardedSketch` and each row carries a
     :class:`ShardLoadReport` of the partition.
@@ -78,6 +83,12 @@ def throughput_comparison(
     memory_bytes = scaled_memory_points([memory_megabytes], scale)[0]
     algorithms = algorithms or competitor_names("speed")
     keys = stream.keys()
+    if batch_size is not None:
+        insert_chunks = list(iter_key_value_chunks(stream, batch_size))
+        query_keys = keys if stream.key_array.dtype == object else np.asarray(keys, dtype=np.int64)
+        query_chunks = [
+            query_keys[start : start + batch_size] for start in range(0, len(keys), batch_size)
+        ]
 
     rows: list[ThroughputRow] = []
     for name in algorithms:
@@ -91,16 +102,10 @@ def throughput_comparison(
             )
             query_result = measure_throughput(lambda key, s=sketch: s.query(key), keys)
         else:
-            insert_result = measure_batch_throughput(
-                lambda chunk, s=sketch: s.insert_batch(
-                    [item.key for item in chunk], [item.value for item in chunk]
-                ),
-                stream,
-                batch_size,
+            insert_result = measure_chunk_throughput(
+                lambda chunk, s=sketch: s.insert_batch(*chunk), insert_chunks, len(stream)
             )
-            query_result = measure_batch_throughput(
-                lambda chunk, s=sketch: s.query_batch(chunk), keys, batch_size
-            )
+            query_result = measure_chunk_throughput(sketch.query_batch, query_chunks, len(keys))
         load = (
             shard_load_report(sketch.items_per_shard, insert_result.seconds)
             if isinstance(sketch, ShardedSketch)

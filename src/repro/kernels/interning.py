@@ -20,7 +20,9 @@ Int batches intern in bulk on both sides of that limit: known keys
 resolve through one table gather or one C-level dict probe, and new keys
 take their first-contact ids through one ``dict.update``.  Restores use
 :meth:`KeyInterner.intern_many`, which never allocates the table, so a
-replica rebuilt from a snapshot carries only the dict.
+replica rebuilt from a snapshot carries only the dict; a replica copied
+from a live sketch takes :meth:`KeyInterner.compact`, a dict of just its
+candidate keys.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.scalar import UNKNOWN_ID
+from repro.kernels.scalar import EMPTY_ID, UNKNOWN_ID
 
 #: Int keys below this may enter the vectorized id table (32 MiB of int64
 #: ids at most, excluding the transient doubling copy).
@@ -63,9 +65,11 @@ class KeyInterner:
     Recency advances on interning, not on queries, and batch interns touch
     at batch granularity (every id in the batch gets the same clock tick).
     Eviction is a *bounded-memory* mode, not a free lunch: a bucket may
-    still hold the recycled id, so the sketch then reports the new owner
-    key for that bucket — acceptable for the heavy-hitter sketches, whose
-    buckets track recently-frequent keys anyway.  A single batch
+    still hold the recycled id, so the sketch's batch paths (which compare
+    ids) then report the new owner key for that bucket while its scalar
+    paths (which compare the bucket's key object) do not — acceptable for
+    the heavy-hitter sketches, whose buckets track recently-frequent keys
+    anyway.  A single batch
     containing more distinct keys than ``max_keys`` will alias ids within
     the batch; size the bound well above the expected working set.
 
@@ -226,6 +230,35 @@ class KeyInterner:
             else:
                 return self._intern_ints(keys, int_keys)
         return np.fromiter(map(self.intern, keys), dtype=np.int64, count=len(keys))
+
+    def compact(
+        self, slot_ids: np.ndarray, max_keys: int | None = None
+    ) -> tuple["KeyInterner", np.ndarray]:
+        """A fresh interner of only the keys ``slot_ids`` names, and the slots renumbered.
+
+        ``slot_ids`` holds this interner's ids (``EMPTY_ID`` for empty
+        slots); its ``m`` distinct ids become ``0..m-1``, in id order, each
+        mapped to its key here.  Like one filled by :meth:`intern_many`, the
+        new interner is unhooked, has no id table and never evicts.  Only
+        meaningful while ids are never recycled (``evict is None``).  Raises
+        :class:`KeyInternerOverflowError`, before building anything, when
+        ``m`` exceeds ``max_keys``.
+        """
+        occupied = np.flatnonzero(slot_ids != EMPTY_ID)
+        distinct, renumbered = np.unique(slot_ids[occupied], return_inverse=True)
+        if max_keys is not None and len(distinct) > max_keys:
+            raise KeyInternerOverflowError(
+                f"cannot compact {len(distinct)} distinct keys into an "
+                f"interner bounded at {max_keys}"
+            )
+        keys = list(map(self.id_to_key.__getitem__, distinct.tolist()))
+        interner = KeyInterner(max_keys=max_keys)
+        interner._ids = dict(zip(keys, range(len(keys))))
+        interner.id_to_key = keys
+        interner._int_only = self._int_only or all(type(key) is int for key in keys)
+        compact_ids = np.full(len(slot_ids), EMPTY_ID, dtype=np.int64)
+        compact_ids[occupied] = renumbered
+        return interner, compact_ids
 
     def _bulk_assigns(self) -> bool:
         """Whether new keys may take :meth:`_assign_new`.

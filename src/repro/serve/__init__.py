@@ -7,8 +7,8 @@ reader observe a half-applied update:
 
 * :mod:`repro.serve.snapshots` — epoch-based snapshot rotation: a single
   writer ingests batches into the live sketch and periodically publishes an
-  immutable replica (``state_snapshot`` → ``state_restore`` when the sketch
-  supports it, deep copy otherwise).  Readers always see the latest
+  immutable replica (``copy_state_into`` a factory-built peer when the
+  sketch snapshots, deep copy otherwise).  Readers always see the latest
   *published* epoch, so every answer is bit-identical to querying a frozen
   copy of the sketch at that epoch — reads never contend with inserts.
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.SketchService`:

@@ -52,7 +52,7 @@ class SketchService:
         a :class:`~repro.sketches.sharded.ShardedSketch`).
     factory:
         Optional builder of structurally identical empty peers — enables the
-        cheap snapshot-restore epoch replication (see
+        cheap copy-into-peer epoch replication (see
         :func:`~repro.serve.snapshots.replicate_sketch`).
     publish_every_items / publish_every_seconds:
         Epoch rotation cadence, forwarded to the writer.

@@ -17,11 +17,11 @@ serving layer its two core properties:
   mutate the live sketch's arrays.  The only shared mutation is the epoch
   pointer swap, a single attribute assignment.
 
-Replication uses the snapshot half of the merge contract when the sketch
-supports it (``state_snapshot`` into a factory-built empty peer — array
-copies, no Python-object traversal) and falls back to ``copy.deepcopy``
-otherwise, so *any* sketch can be served; snapshotable ones are just
-cheaper to rotate.
+Replication copies a snapshotable sketch's state into a factory-built
+empty peer (``Sketch.copy_state_into``: snapshot + restore by default,
+plain array and list copies for ``ReliableSketch``) and falls back to
+``copy.deepcopy`` otherwise, so *any* sketch can be served; snapshotable
+ones are just cheaper to rotate.
 
 The trade is staleness: readers lag the live sketch by at most one publish
 interval.  :attr:`EpochWriter.staleness_items` exposes the current lag and
@@ -47,14 +47,16 @@ def replicate_sketch(sketch: Sketch, factory: Callable[[], Sketch] | None = None
 
     With a ``factory`` building a structurally identical empty peer (same
     registry configuration and seed) and a snapshotable sketch, the replica
-    is ``factory()`` restored from ``sketch.state_snapshot()`` — the cheap
-    path, pure array copies.  Otherwise ``copy.deepcopy``.  Either way the
-    replica answers every query bit-identically to the donor at the moment
-    of replication and shares no mutable state with it.
+    is ``factory()`` with ``sketch.copy_state_into`` applied: snapshot +
+    restore by default, array and key-list copies for ``ReliableSketch``
+    (whose replica interns only its own candidate keys).  Otherwise
+    ``copy.deepcopy``.  Either way the replica answers every query
+    bit-identically to the donor at the moment of replication and shares
+    no mutable state with it.
     """
     if factory is not None and getattr(sketch, "snapshotable", False):
         replica = factory()
-        replica.state_restore(sketch.state_snapshot())
+        sketch.copy_state_into(replica)
         return replica
     return copy.deepcopy(sketch)
 
@@ -87,8 +89,9 @@ class EpochWriter:
         The live sketch; the writer takes ownership of its mutation.
     factory:
         Optional zero-argument builder of structurally identical empty peers
-        (same registry config/seed); enables the cheap snapshot-restore
-        replication path for snapshotable sketches.
+        (same registry config/seed); enables the cheap copy-into-peer
+        replication path (``Sketch.copy_state_into``) for snapshotable
+        sketches.
     publish_every_items:
         Publish a new epoch once at least this many items accumulated since
         the last publish (checked at batch boundaries, so an epoch can run
@@ -100,9 +103,9 @@ class EpochWriter:
     on_publish:
         Optional callback receiving every published :class:`EpochSnapshot`,
         invoked just *before* the epoch becomes visible to readers — so
-        subscribers maintaining derived state (cache invalidation, frozen
-        references, metrics) are never behind a reader that already sees
-        the new epoch.
+        subscribers maintaining derived state (the epoch ring, window
+        deltas, the durable store's snapshot, metrics) are never behind a
+        reader that already sees the new epoch.
 
     start_epoch / start_items:
         Warm-restart seeding: the first published epoch takes id
@@ -204,8 +207,9 @@ class EpochWriter:
             self.total_interval_items += interval
             self.max_interval_items = max(self.max_interval_items, interval)
         # The hook runs BEFORE the epoch becomes visible, so a subscriber
-        # maintaining derived state (cache invalidation, frozen references)
-        # is never behind a reader that already sees the new epoch.
+        # maintaining derived state (the epoch ring, window deltas, the
+        # store's snapshot) is never behind a reader that already sees the
+        # new epoch.
         if self._on_publish is not None:
             self._on_publish(epoch)
         # The replica is complete before this assignment, so a reader that

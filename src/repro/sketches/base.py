@@ -249,6 +249,18 @@ class Sketch(abc.ABC):
             "only sketches with snapshotable=True implement state_restore()"
         )
 
+    def copy_state_into(self, peer: "Sketch") -> None:
+        """Overwrite ``peer``'s state with a copy of this sketch's, in place.
+
+        ``peer`` is a structurally identical peer, as for
+        :meth:`state_restore`; afterwards it answers every query exactly as
+        this sketch does now and shares no mutable state with it.  The
+        default is ``peer.state_restore(self.state_snapshot())``; a sketch
+        with a cheaper direct copy overrides it.  The serving layer builds
+        its epoch replicas this way (``repro.serve.snapshots``).
+        """
+        peer.state_restore(self.state_snapshot())
+
     def _check_snapshot_shape(self, state: dict[str, np.ndarray], key: str,
                               shape: tuple[int, ...]) -> np.ndarray:
         """Shared restore validation: ``key`` present with the expected shape."""

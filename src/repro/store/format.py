@@ -51,7 +51,7 @@ from repro.distributed.wire import (
     decode_batch,
     decode_state,
     encode_batch,
-    encode_state,
+    encode_state_parts,
 )
 
 #: Version byte stamped into every file this package writes.  Bump on any
@@ -114,12 +114,19 @@ def parse_wal_filename(name: str) -> int | None:
 def encode_snapshot_file(
     state: dict[str, np.ndarray], algorithm: str, meta: dict | None = None
 ) -> bytes:
-    """Serialize one epoch's ``state_snapshot()`` into a snapshot file blob."""
-    body = encode_state(state, algorithm, meta)
-    header = _SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, STORE_FORMAT_VERSION, len(body))
+    """Serialize one epoch's ``state_snapshot()`` into a snapshot file blob.
+
+    The state is copied once: the CRC runs over the file header and each
+    body piece (:func:`encode_state_parts`) in place, and one join builds
+    the file.
+    """
+    parts = encode_state_parts(state, algorithm, meta)
+    body_length = sum(memoryview(part).nbytes for part in parts)
+    header = _SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, STORE_FORMAT_VERSION, body_length)
     crc = zlib.crc32(header)
-    crc = zlib.crc32(body, crc)
-    return header + body + _CRC.pack(crc)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([header, *parts, _CRC.pack(crc)])
 
 
 def decode_snapshot_file(blob: bytes) -> tuple[dict[str, np.ndarray], str, dict]:

@@ -40,7 +40,7 @@ def delta_sketch(
     fed only the items ingested in ``(earlier, later]``.
 
     ``factory`` builds a structurally identical empty peer and enables the
-    cheap snapshot-restore replication path (same contract as epoch
+    cheap copy-into-peer replication path (same contract as epoch
     publication).
     """
     if later.epoch_id <= earlier.epoch_id:

@@ -159,6 +159,8 @@ def test_emergency_store_refuses_snapshots():
         sketch.state_snapshot()
     with pytest.raises(UnmergeableSketchError):
         sketch.state_restore({})
+    with pytest.raises(UnmergeableSketchError):
+        sketch.copy_state_into(ReliableSketch.from_memory(MEMORY))
 
 
 def test_merge_stays_unsupported():
@@ -277,3 +279,148 @@ def test_restore_interns_like_the_per_key_loop(bounds):
     if bounds.get("max_keys") != 64:
         keys = stream.keys()
         assert (replica.query_batch(keys) == donor.query_batch(keys)).all()
+
+
+# ------------------------------------------------------- copy-into-peer path
+def stream_keys(kind, count=9000, seed=21):
+    """Zipf keys of one kind: ids the writer tables, 31-bit ints, str, mixed."""
+    ranks = [item.key for item in zipf_stream(count, skew=1.1, universe=3000, seed=seed)]
+    if kind == "small-int":
+        return ranks
+    if kind == "int31":
+        return [(rank * 2654435761 + 977) % 2**31 for rank in ranks]
+    if kind == "str":
+        return [f"flow-{rank}" for rank in ranks]
+    return [rank if rank % 2 else f"flow-{rank}" for rank in ranks]
+
+
+KEY_KINDS = ("small-int", "int31", "str", "mixed")
+
+
+def observed(sketch, keys):
+    """Everything a reader or an operator can see of a sketch.
+
+    The operation counts are read first: the queries made here count too.
+    """
+    operation_counts = sketch.operation_counts()
+    scalar = [
+        (result.estimate, result.mpe, result.layers_visited)
+        for result in map(sketch.query_with_error, keys)
+    ]
+    return {
+        "operation_counts": operation_counts,
+        "query_batch": sketch.query_batch(keys).tolist(),
+        "query_with_error": scalar,
+        "insert_failures": sketch.insert_failures,
+        "failed_value": sketch.failed_value,
+        "settled": sketch.inserts_settled_per_layer,
+        "occupancy": sketch.layer_occupancy(),
+        "locked": sketch.locked_buckets(),
+    }
+
+
+def answers(sketch, keys):
+    """:func:`observed` less the query count, which reading advances."""
+    seen = observed(sketch, keys)
+    seen["operation_counts"] = seen["operation_counts"][0]
+    return seen
+
+
+@pytest.mark.parametrize("name", ("Ours", "Ours(Raw)"))
+@pytest.mark.parametrize("kind", KEY_KINDS)
+@pytest.mark.parametrize("bound", (None, 6000), ids=("unbounded", "bounded"))
+def test_copy_matches_restore_and_donor(name, kind, bound):
+    keys = stream_keys(kind)
+    build = lambda: build_sketch(name, MEMORY, seed=0, max_interned_keys=bound)  # noqa: E731
+    donor = build()
+    donor.insert_batch(keys[:4000])
+    donor.insert_batch(keys[4000:])
+    copied, restored = build(), build()
+    donor.copy_state_into(copied)
+    restored.state_restore(donor.state_snapshot())
+    probe = list(dict.fromkeys(keys)) + [2**31 + 5, "absent", -3, b"blob"]
+    expected = observed(donor, probe)
+    assert observed(copied, probe) == expected
+    assert observed(restored, probe) == expected
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_copied_replica_continues_identically(kind):
+    keys = stream_keys(kind)
+    donor = build_sketch("Ours", MEMORY, seed=0)
+    donor.insert_batch(keys[:5000])
+    replica = build_sketch("Ours", MEMORY, seed=0)
+    donor.copy_state_into(replica)
+    more = stream_keys(kind, count=4000, seed=22)
+    donor.insert_batch(more)
+    replica.insert_batch(more[:1500])
+    replica.insert_batch(more[1500:])
+    probe = list(dict.fromkeys(keys + more))
+    assert observed(replica, probe) == observed(donor, probe)
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_copied_replica_interns_only_its_candidates(kind):
+    """The replica's interner holds its candidate keys, not the writer's."""
+    donor = build_sketch("Ours", MEMORY, seed=0)
+    donor.insert_batch(stream_keys(kind))
+    replica = build_sketch("Ours", MEMORY, seed=0)
+    donor.copy_state_into(replica)
+    candidates = {
+        key for layer in donor._layers for key in layer.keys if key is not None
+    }
+    assert len(replica._interner) == len(candidates) < len(donor._interner)
+    assert replica._interner._table is None
+
+
+def test_copied_replica_shares_no_state():
+    donor = build_sketch("Ours", MEMORY, seed=0)
+    donor.insert_batch(stream_keys("int31"))
+    replica = build_sketch("Ours", MEMORY, seed=0)
+    donor.copy_state_into(replica)
+    probe = list(dict.fromkeys(stream_keys("int31"))) + ["absent"]
+    before = answers(replica, probe)
+    donor.insert_batch(stream_keys("mixed", seed=23))
+    calls = donor.hash_calls()
+    assert answers(replica, probe) == before
+    assert donor.hash_calls() == calls
+
+
+@pytest.mark.parametrize("max_keys", (4000, 64), ids=("lru", "lru-evicting"))
+def test_lru_copy_falls_back_to_snapshot_restore(max_keys):
+    """A recycling interner takes the snapshot + restore path, answer for answer."""
+    build = lambda: build_sketch(  # noqa: E731
+        "Ours", MEMORY, seed=0, max_interned_keys=max_keys, interner_eviction="lru"
+    )
+    donor = build()
+    donor.insert_stream(zipf_stream(8000, skew=1.2, universe=1500, seed=5), batch_size=512)
+    copied, restored = build(), build()
+    donor.copy_state_into(copied)
+    restored.state_restore(donor.state_snapshot())
+    assert copied._interner.id_to_key == restored._interner.id_to_key
+    assert copied._interner._last_touch.tolist() == restored._interner._last_touch.tolist()
+    probe = list(range(1600)) + ["absent"]
+    assert observed(copied, probe) == observed(restored, probe)
+
+
+def test_copy_validates_geometry_before_writing():
+    donor, stream = filled()
+    keys = stream.keys()
+    for peer in (build_sketch("Ours", MEMORY // 2, seed=0), build_sketch("Ours(Raw)", MEMORY, seed=0)):
+        peer.insert_batch(keys[:300])
+        expected = answers(peer, keys)
+        with pytest.raises(ValueError):
+            donor.copy_state_into(peer)
+        assert answers(peer, keys) == expected
+
+
+def test_copy_carries_failure_statistics():
+    """An overloaded donor's insert failures and failed value reach the replica."""
+    keys = stream_keys("int31")
+    donor = build_sketch("Ours(Raw)", 1024, seed=0)
+    donor.insert_batch(keys)
+    assert donor.insert_failures > 0
+    replica = build_sketch("Ours(Raw)", 1024, seed=0)
+    donor.copy_state_into(replica)
+    probe = list(dict.fromkeys(keys))
+    assert observed(replica, probe) == observed(donor, probe)

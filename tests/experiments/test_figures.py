@@ -87,6 +87,36 @@ class TestSpeed:
         # The raw variant skips the mice filter and must insert faster.
         assert by_name["Ours(Raw)"].insert_mops > by_name["Ours"].insert_mops
 
+    def test_fig10_batch_timing_feeds_int64_slices(self, monkeypatch):
+        """The timed batch calls get int64 arrays and every item exactly once."""
+        import numpy as np
+
+        from repro.core import ReliableSketch
+        from repro.experiments.datasets import dataset
+
+        inserted, queried = [], []
+        insert_batch, query_batch = ReliableSketch.insert_batch, ReliableSketch.query_batch
+
+        def spy_insert(sketch, keys, values=None):
+            inserted.append((keys, values))
+            return insert_batch(sketch, keys, values)
+
+        def spy_query(sketch, keys):
+            queried.append(keys)
+            return query_batch(sketch, keys)
+
+        monkeypatch.setattr(ReliableSketch, "insert_batch", spy_insert)
+        monkeypatch.setattr(ReliableSketch, "query_batch", spy_query)
+        speed.throughput_comparison(scale=SCALE, algorithms=("Ours",), seed=1, batch_size=256)
+        stream = dataset("ip", scale=SCALE, seed=2)
+        for keys, values in inserted:
+            assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+            assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        assert all(isinstance(keys, np.ndarray) and keys.dtype == np.int64 for keys in queried)
+        assert np.array_equal(np.concatenate([keys for keys, _ in inserted]), stream.key_array)
+        assert np.array_equal(np.concatenate([values for _, values in inserted]), stream.value_array)
+        assert np.concatenate(queried).tolist() == stream.keys()
+
     def test_fig16_hash_calls_converge_to_paper_limits(self):
         curves = {
             c.algorithm: c

@@ -155,3 +155,63 @@ def test_runner_epoch_items_is_bit_identical(name, small_zipf_stream):
     assert direct.report.aae == served.report.aae
     keys = small_zipf_stream.keys()
     assert (direct.sketch.query_batch(keys) == served.sketch.query_batch(keys)).all()
+
+
+def publish_keys(kind, count=6000, seed=13):
+    """Zipf item keys: ids the writer tables, 31-bit ints, str, or mixed."""
+    ranks = [item.key for item in zipf_stream(count, skew=1.1, universe=2500, seed=seed)]
+    if kind == "small-int":
+        return ranks
+    if kind == "int31":
+        return [(rank * 2654435761 + 977) % 2**31 for rank in ranks]
+    if kind == "str":
+        return [f"flow-{rank}" for rank in ranks]
+    return [rank if rank % 2 else f"flow-{rank}" for rank in ranks]
+
+
+def reliable_view(sketch, keys):
+    """A ReliableSketch's answers, error bounds and statistics."""
+    operation_counts = sketch.operation_counts()
+    return (
+        operation_counts,
+        sketch.query_batch(keys).tolist(),
+        [
+            (result.estimate, result.mpe, result.layers_visited)
+            for result in map(sketch.query_with_error, keys)
+        ],
+        sketch.insert_failures,
+        sketch.inserts_settled_per_layer,
+        sketch.layer_occupancy(),
+        sketch.locked_buckets(),
+    )
+
+
+@pytest.mark.parametrize("name", ("Ours", "Ours(Raw)"))
+@pytest.mark.parametrize("kind", ("small-int", "int31", "str", "mixed"))
+@pytest.mark.parametrize("bound", (None, 4000), ids=("unbounded", "bounded"))
+def test_published_replica_equals_the_live_sketch_at_publish(name, kind, bound):
+    """Copied replica == restored replica == the live sketch when published.
+
+    The reference is a deepcopy of the *live* sketch taken inside the
+    publish hook, not of the replica, so a replica that is wrong but
+    self-consistent cannot pass.
+    """
+    factory = lambda: build_sketch(name, MEMORY, seed=0, max_interned_keys=bound)  # noqa: E731
+    live = factory()
+    published = []
+
+    def on_publish(epoch):
+        published.append((epoch, copy.deepcopy(live)))
+
+    writer = EpochWriter(live, factory=factory, publish_every_items=1500, on_publish=on_publish)
+    keys = publish_keys(kind)
+    for start in range(0, len(keys), 500):
+        writer.ingest(keys[start : start + 500])
+    assert len(published) == 5
+    probe = list(dict.fromkeys(keys)) + [2**31 + 5, "absent", b"blob"]
+    for epoch, reference in published:
+        restored = factory()
+        restored.state_restore(reference.state_snapshot())
+        expected = reliable_view(reference, probe)
+        assert reliable_view(epoch.sketch, probe) == expected
+        assert reliable_view(restored, probe) == expected

@@ -11,11 +11,15 @@ frame k never costs frames 0..k-1.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributed.wire import encode_state
 from repro.sketches.registry import build_sketch
 from repro.store.format import (
     MAX_WAL_FRAME_BYTES,
@@ -62,6 +66,30 @@ def test_snapshot_round_trip():
     assert set(decoded) == set(state)
     for key in state:
         assert np.array_equal(np.asarray(decoded[key]), np.asarray(state[key]))
+
+
+def test_snapshot_file_is_header_state_payload_and_crc():
+    """One-copy encoding writes exactly header + encode_state + CRC-32."""
+    sketch = build_sketch("Ours", 16 * 1024, seed=2)
+    sketch.insert_batch([f"k{i % 300}" for i in range(2000)] + list(range(500)))
+    state = sketch.state_snapshot()
+    state["empty"] = np.zeros(0, dtype=np.int64)
+    state["strided"] = np.arange(60, dtype=np.int64).reshape(6, 10)[:, ::3]
+    state["transposed"] = np.arange(12, dtype=np.int32).reshape(3, 4).T
+    assert not state["strided"].flags.c_contiguous
+    assert not state["transposed"].flags.c_contiguous
+    meta = {"epoch_id": 9, "items": 2500}
+    body = encode_state(state, "Ours", meta)
+    assert body.endswith(
+        b"".join(np.ascontiguousarray(array).tobytes() for array in state.values())
+    )
+    reference = struct.pack(">4sBQ", b"RSNP", STORE_FORMAT_VERSION, len(body)) + body
+    reference += struct.pack(">I", zlib.crc32(reference))
+    blob = encode_snapshot_file(state, "Ours", meta)
+    assert blob == reference
+    decoded, _, _ = decode_snapshot_file(blob)
+    for name, array in state.items():
+        assert np.array_equal(decoded[name], array), name
 
 
 def test_wal_round_trip():
