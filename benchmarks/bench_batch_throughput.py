@@ -6,6 +6,14 @@ stream twice — once through the scalar ``insert``/``query`` loop, once
 through ``insert_batch``/``query_batch`` in fixed-size chunks — and writes
 the items/sec numbers plus speedups to ``BENCH_throughput.json``.
 
+Every input is built before its clock starts.  The scalar loop inserts
+``(key, value)`` pairs taken from the stream's arrays and queries the
+distinct keys one by one; the batch side inserts the ``int64`` key and
+value slices :func:`~repro.streams.items.iter_key_value_chunks` cuts from
+the stream and queries ``int64`` slices of the distinct keys — the chunks
+every real fill hands to ``insert_batch`` — timed through
+:func:`~repro.metrics.throughput.measure_chunk_throughput`.
+
 Because batch and scalar paths are bit-identical, the JSON is a pure
 performance artifact: regenerate it after any datapath change and compare
 against the committed numbers to see the trajectory.
@@ -21,16 +29,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
 
-from repro.metrics.throughput import measure_batch_throughput, measure_throughput
+import numpy as np
+
+from repro.metrics.throughput import measure_chunk_throughput, measure_throughput
 from repro.sketches.registry import build_sketch
+from repro.streams.items import iter_key_value_chunks
 from repro.streams.synthetic import zipf_stream
 
-#: Algorithms with a vectorized batch datapath (ReliableSketch's batch insert
-#: vectorizes hashing/encoding only; bucket updates stay in stream order).
+#: Algorithms with a vectorized batch datapath (ReliableSketch's bucket
+#: updates run through the conflict-free update kernels).
 ALGORITHMS = ("CM_fast", "CU_fast", "Count", "Ours(Raw)", "Ours")
 
 DEFAULT_COUNT = 1_000_000
@@ -39,8 +51,15 @@ DEFAULT_CHUNK = 65_536
 DEFAULT_MEMORY_BYTES = 64 * 1024
 
 
-def bench_algorithm(name: str, items, keys, memory_bytes: float, chunk_size: int, seed: int) -> dict:
-    """Measure one algorithm's insert and query throughput on both paths."""
+def bench_algorithm(
+    name: str, items, keys, insert_chunks, key_chunks, memory_bytes: float, seed: int
+) -> dict:
+    """Measure one algorithm's insert and query throughput on both paths.
+
+    ``items`` and ``keys`` feed the scalar loop; ``insert_chunks`` (``(keys,
+    values)`` ``int64`` slices) and ``key_chunks`` (``int64`` slices of
+    ``keys``) feed the batch path.
+    """
     scalar_sketch = build_sketch(name, memory_bytes, seed=seed)
     scalar_insert = measure_throughput(
         lambda item, s=scalar_sketch: s.insert(item[0], item[1]), items
@@ -48,16 +67,10 @@ def bench_algorithm(name: str, items, keys, memory_bytes: float, chunk_size: int
     scalar_query = measure_throughput(lambda key, s=scalar_sketch: s.query(key), keys)
 
     batch_sketch = build_sketch(name, memory_bytes, seed=seed)
-    batch_insert = measure_batch_throughput(
-        lambda chunk, s=batch_sketch: s.insert_batch(
-            [item[0] for item in chunk], [item[1] for item in chunk]
-        ),
-        items,
-        chunk_size,
+    batch_insert = measure_chunk_throughput(
+        lambda chunk, s=batch_sketch: s.insert_batch(*chunk), insert_chunks, len(items)
     )
-    batch_query = measure_batch_throughput(
-        lambda chunk, s=batch_sketch: s.query_batch(chunk), keys, chunk_size
-    )
+    batch_query = measure_chunk_throughput(batch_sketch.query_batch, key_chunks, len(keys))
 
     return {
         "algorithm": name,
@@ -87,13 +100,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     stream = zipf_stream(args.count, skew=args.skew, seed=args.seed + 1)
-    items = [(item.key, item.value) for item in stream]
+    items = list(zip(stream.key_array.tolist(), stream.value_array.tolist()))
     keys = stream.keys()
+    insert_chunks = list(iter_key_value_chunks(stream, args.chunk_size))
+    distinct = np.asarray(keys, dtype=np.int64)
+    key_chunks = [
+        distinct[start : start + args.chunk_size]
+        for start in range(0, len(distinct), args.chunk_size)
+    ]
     print(f"stream: {len(items)} items, {len(keys)} distinct keys, skew {args.skew}")
 
     results = []
     for name in ALGORITHMS:
-        row = bench_algorithm(name, items, keys, args.memory_bytes, args.chunk_size, args.seed)
+        row = bench_algorithm(
+            name, items, keys, insert_chunks, key_chunks, args.memory_bytes, args.seed
+        )
         results.append(row)
         print(
             f"{name:>10}: insert {row['scalar_insert_ips']:>10.0f} -> "
@@ -115,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
         },
         "results": results,
     }

@@ -21,10 +21,11 @@ Two representations live here:
 * :class:`ErrorSensibleBucket` — the single-bucket object, kept as the
   didactic reference (and for the per-bucket property tests);
 * :class:`BucketArrayLayer` — the struct-of-arrays layout ReliableSketch
-  actually uses since the batch-first datapath rework: one layer holds its
-  candidate keys in a Python list and its ``YES``/``NO`` counters in NumPy
-  ``int64`` arrays, so queries and diagnostics over a whole layer are
-  vectorizable while per-bucket views stay available for inspection.
+  actually uses: one layer holds its candidate keys as interned ``int64``
+  ids and its ``YES``/``NO`` counters as ``int64`` arrays — one fixed-width
+  record per bucket, as in the paper's FPGA and Tofino versions — so
+  queries and diagnostics over a whole layer are vectorizable while
+  per-bucket counter views stay available for inspection.
 """
 
 from __future__ import annotations
@@ -124,14 +125,16 @@ class ErrorSensibleBucket:
 
 
 class BucketView:
-    """Read-only view of one bucket inside a :class:`BucketArrayLayer`.
+    """Read-only view of one bucket's counters inside a :class:`BucketArrayLayer`.
 
-    Exposes the ``key`` / ``yes`` / ``no`` / ``total_value`` surface of
+    Exposes the ``yes`` / ``no`` / ``total_value`` surface of
     :class:`ErrorSensibleBucket` backed by the layer's arrays, so diagnostics
     and invariant tests (e.g. the value-conservation check in
     ``tests/core/test_reliable_properties.py``) can keep treating a layer as
-    a sequence of buckets.  Deliberately read-only: all mutation goes through
-    the array-level insert paths in :mod:`repro.core.reliable_sketch`.
+    a sequence of buckets.  The candidate key is the layer's ``key_ids``
+    entry, named by the owning sketch's interner.  Deliberately read-only:
+    all mutation goes through the array-level insert paths in
+    :mod:`repro.core.reliable_sketch`.
     """
 
     __slots__ = ("_layer", "_index")
@@ -139,10 +142,6 @@ class BucketView:
     def __init__(self, layer: "BucketArrayLayer", index: int) -> None:
         self._layer = layer
         self._index = index
-
-    @property
-    def key(self) -> object | None:
-        return self._layer.keys[self._index]
 
     @property
     def yes(self) -> int:
@@ -157,42 +156,39 @@ class BucketView:
         return self.yes + self.no
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BucketView(key={self.key!r}, yes={self.yes}, no={self.no})"
+        return f"BucketView(yes={self.yes}, no={self.no})"
 
 
 class BucketArrayLayer:
     """One ReliableSketch layer in struct-of-arrays form.
 
-    ``keys`` is a plain Python list (stream keys are arbitrary hashable
-    objects); ``yes`` and ``no`` are ``int64`` arrays so that whole-layer
-    reads — batch queries, occupancy, lock counts — are single vectorized
-    expressions.  ``key_ids`` mirrors ``keys`` as the sketch's interned
-    integer ids (``EMPTY_ID`` where unset): the conflict-free update
-    kernels and the batch query path compare candidate keys as plain
-    ``int64`` arrays and never touch the objects; the owning sketch keeps
-    the two representations in sync whenever a bucket adopts a new key.
+    ``key_ids`` holds each bucket's candidate key as the owning sketch's
+    interned id (``EMPTY_ID`` where unset) — the only record of the key;
+    the sketch's interner maps ids back to keys.  ``yes`` and ``no`` are
+    ``int64`` arrays, so whole-layer reads — batch queries, occupancy, lock
+    counts — are single vectorized expressions, and the update kernels and
+    both query paths compare candidate keys as plain integers.
     """
 
-    __slots__ = ("keys", "key_ids", "yes", "no")
+    __slots__ = ("key_ids", "yes", "no")
 
     def __init__(self, width: int) -> None:
         if width <= 0:
             raise ValueError("layer width must be positive")
-        self.keys: list[object | None] = [None] * width
         self.key_ids = np.full(width, EMPTY_ID, dtype=np.int64)
         self.yes = np.zeros(width, dtype=np.int64)
         self.no = np.zeros(width, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.key_ids)
 
     def __iter__(self) -> Iterator[BucketView]:
-        for index in range(len(self.keys)):
+        for index in range(len(self.key_ids)):
             yield BucketView(self, index)
 
     def occupied_count(self) -> int:
         """Number of non-empty buckets (a bucket is empty iff its key is unset)."""
-        return sum(1 for key in self.keys if key is not None)
+        return int(np.count_nonzero(self.key_ids != EMPTY_ID))
 
     def locked_count(self, threshold: float) -> int:
         """Buckets whose ``NO`` reached the threshold while ``YES`` exceeds it."""
@@ -203,4 +199,4 @@ class BucketArrayLayer:
         return int(self.yes.sum() + self.no.sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BucketArrayLayer(width={len(self.keys)}, occupied={self.occupied_count()})"
+        return f"BucketArrayLayer(width={len(self)}, occupied={self.occupied_count()})"

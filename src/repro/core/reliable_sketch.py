@@ -19,26 +19,26 @@ Batch-first datapath
 --------------------
 
 Layers are stored struct-of-arrays (:class:`repro.core.bucket.BucketArrayLayer`:
-a Python key list, its interned ``int64`` id mirror, and NumPy ``int64``
-``YES``/``NO`` arrays), and the sketch exposes ``insert_batch`` /
-``query_batch`` alongside the scalar API.  Because lock/replace decisions
+interned ``int64`` key ids and NumPy ``int64`` ``YES``/``NO`` arrays), and
+the sketch exposes ``insert_batch`` / ``query_batch`` alongside the scalar
+API.  Because lock/replace decisions
 are order-dependent *within a layer*, the batch insert mirrors the hardware
 pipeline: all survivors of layer ``i`` (in stream order) are hashed for
 layer ``i+1`` in one vectorized call — keeping hash-call accounting
 identical to the scalar path — and the order-dependent bucket transitions
 of each layer are applied by a conflict-free update kernel
 (:mod:`repro.kernels`), bit-identical to replaying the survivors one by
-one.  Keys are *interned* into dense integer ids on first contact, so both
-the kernels and ``query_batch`` compare candidate keys as plain ``int64``
-arrays instead of looping over Python objects; ``query_batch`` retires keys
-as soon as their stopping condition (Algorithm 2) fires, exactly like the
-scalar :meth:`query_with_error`.
+one.  Keys are *interned* into dense integer ids on first contact, and a
+bucket's id is the only record of its candidate key: the kernels and both
+query paths compare ids, and snapshots encode the keys the interner maps
+the occupied buckets' ids to.  ``query_batch`` retires keys as soon as
+their stopping condition (Algorithm 2) fires, exactly like the scalar
+:meth:`query_with_error`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -53,10 +53,9 @@ from repro.core.config import (
 from repro.core.emergency import EmergencyStore, ExactEmergencyStore
 from repro.core.mice_filter import MiceFilter
 from repro.hashing import EncodedKeyBatch, HashFamily
-from repro.hashing.families import KEY_TAG_NONE, keys_from_arrays, keys_to_arrays
 from repro.kernels import resolve_backend
 from repro.kernels.interning import KeyInterner
-from repro.kernels.scalar import EMPTY_ID, bucket_apply
+from repro.kernels.scalar import bucket_apply
 from repro.sketches.base import Sketch, UnmergeableSketchError
 
 
@@ -108,7 +107,6 @@ class ReliableSketch(Sketch):
         emergency: EmergencyStore | None = None,
         use_emergency: bool = False,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> None:
         self.config = config
         self.seed = seed
@@ -122,15 +120,11 @@ class ReliableSketch(Sketch):
         self._lam_floors = [int(threshold) for threshold in self._thresholds]
         self._kernel = resolve_backend()
         # Key interning: dense integer ids shared by all layers, assigned on
-        # first contact; the kernels' changed-bucket sync reads the inverse
-        # map (`id_to_key`).  ``max_interned_keys`` bounds it against
-        # adversarial key spaces (KeyInternerOverflowError past the bound,
-        # or LRU id recycling with ``interner_eviction="lru"``).
-        self._interner = KeyInterner(
-            max_keys=max_interned_keys, evict=interner_eviction
-        )
+        # first contact; a bucket's id is its only key record.
+        # ``max_interned_keys`` bounds it against adversarial key spaces
+        # (KeyInternerOverflowError past the bound).
+        self._interner = KeyInterner(max_keys=max_interned_keys)
         self.max_interned_keys = max_interned_keys
-        self.interner_eviction = interner_eviction
         self._filter: MiceFilter | None = None
         if config.use_mice_filter:
             self._filter = MiceFilter(
@@ -167,7 +161,6 @@ class ReliableSketch(Sketch):
         seed: int = 0,
         use_emergency: bool = False,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> "ReliableSketch":
         """Size the sketch from the stream's total value ``N`` and Λ."""
         config = ReliableConfig.from_stream_statistics(
@@ -179,8 +172,7 @@ class ReliableSketch(Sketch):
             use_mice_filter=use_mice_filter,
         )
         return cls(config, seed=seed, use_emergency=use_emergency,
-                   max_interned_keys=max_interned_keys,
-                   interner_eviction=interner_eviction)
+                   max_interned_keys=max_interned_keys)
 
     @classmethod
     def from_memory(
@@ -195,7 +187,6 @@ class ReliableSketch(Sketch):
         seed: int = 0,
         use_emergency: bool = False,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> "ReliableSketch":
         """Size the sketch from a memory budget (the experiments' usual mode).
 
@@ -215,8 +206,7 @@ class ReliableSketch(Sketch):
             use_mice_filter=use_mice_filter,
         )
         return cls(config, seed=seed, use_emergency=use_emergency,
-                   max_interned_keys=max_interned_keys,
-                   interner_eviction=interner_eviction)
+                   max_interned_keys=max_interned_keys)
 
     # ------------------------------------------------------------ insertion
     def insert(self, key: object, value: int = 1) -> None:
@@ -255,15 +245,12 @@ class ReliableSketch(Sketch):
         value to push to the next layer when the bucket's lock triggered.
         The transition itself (:func:`repro.kernels.scalar.bucket_apply`) is
         shared with the update kernels, so the scalar and batch paths cannot
-        drift apart; this wrapper adds the interning and the object-key sync.
+        drift apart; this wrapper adds the interning.
         """
-        item_id = self._interner.intern(key)
-        excess, changed = bucket_apply(
-            layer.key_ids, layer.yes, layer.no, index, item_id, remaining, lam_floor
+        return bucket_apply(
+            layer.key_ids, layer.yes, layer.no, index, self._interner.intern(key),
+            remaining, lam_floor,
         )
-        if changed:
-            layer.keys[index] = key
-        return excess
 
     def insert_batch(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
         """Batch insert, bit-identical to scalar inserts in stream order.
@@ -292,7 +279,6 @@ class ReliableSketch(Sketch):
             active = np.arange(count, dtype=np.intp)
 
         kernel = self._kernel
-        id_to_key = self._interner.id_to_key
         for layer_index, (layer, hash_fn, lam_floor) in enumerate(
             zip(self._layers, self._hashes, self._lam_floors)
         ):
@@ -300,15 +286,10 @@ class ReliableSketch(Sketch):
                 return
             sub = batch if len(active) == count else batch.take(active)
             indexes = hash_fn.index_batch(sub)
-            survivors, excess, changed = kernel.reliable_layer_update(
+            survivors, excess = kernel.reliable_layer_update(
                 layer.key_ids, layer.yes, layer.no, lam_floor,
                 indexes, item_ids[active], remaining[active],
             )
-            if changed.size:
-                layer_keys = layer.keys
-                layer_ids = layer.key_ids
-                for bucket in changed.tolist():
-                    layer_keys[bucket] = id_to_key[layer_ids[bucket]]
             self.inserts_settled_per_layer[layer_index] += len(active) - len(survivors)
             active = active[survivors]
             remaining[active] = excess
@@ -337,13 +318,14 @@ class ReliableSketch(Sketch):
             estimate += filtered
             mpe += filtered
 
+        item_id = self._interner.lookup(key)
         layers_visited = 0
         for layer, hash_fn, threshold in zip(self._layers, self._hashes, self._thresholds):
             index = hash_fn(key)
             layers_visited += 1
-            matches = layer.keys[index] == key
-            yes = int(layer.yes[index])
-            no = int(layer.no[index])
+            matches = layer.key_ids.item(index) == item_id
+            yes = layer.yes.item(index)
+            no = layer.no.item(index)
             estimate += yes if matches else no
             mpe += no
             if no < threshold or yes == no or matches:
@@ -408,11 +390,11 @@ class ReliableSketch(Sketch):
         """Whole mutable state as named arrays — layers, filter, statistics.
 
         Per layer: the ``YES``/``NO`` counter arrays plus the candidate keys
-        serialized through the reversible key codec
-        (:func:`repro.hashing.families.keys_to_arrays` — type tags, encoded
-        lengths and one byte blob), so arbitrary ``int``/``str``/``bytes``
-        keys survive the array-only snapshot contract and the distributed
-        wire format unchanged.  ``filter_tables`` carries the mice-filter
+        the interner maps the occupied buckets' ids to, serialized through
+        the reversible key codec (:meth:`KeyInterner.slot_key_arrays` — type
+        tags, encoded lengths and one byte blob), so arbitrary
+        ``int``/``str``/``bytes`` keys survive the array-only snapshot
+        contract and the distributed wire format unchanged.  ``filter_tables`` carries the mice-filter
         counters, ``settled``/``stats`` the failure and operation accounting.
         Hash-call counters are measurement state, not sketch state, and are
         deliberately excluded (exactly as for CM/CU/Count).
@@ -426,7 +408,7 @@ class ReliableSketch(Sketch):
         self._check_no_emergency("state_snapshot()")
         state: dict[str, np.ndarray] = {}
         for index, layer in enumerate(self._layers):
-            key_arrays = keys_to_arrays(layer.keys)
+            key_arrays = self._interner.slot_key_arrays(layer.key_ids)
             state[f"layer{index}_yes"] = layer.yes.copy()
             state[f"layer{index}_no"] = layer.no.copy()
             state[f"layer{index}_key_tags"] = key_arrays["tags"]
@@ -454,7 +436,8 @@ class ReliableSketch(Sketch):
         previously-used sketch does not accumulate stale ids.
         """
         self._check_no_emergency("state_restore()")
-        decoded = []
+        counters = []
+        encoded_keys = []
         for index, layer in enumerate(self._layers):
             width = (len(layer),)
             yes = self._check_snapshot_shape(state, f"layer{index}_yes", width)
@@ -467,18 +450,13 @@ class ReliableSketch(Sketch):
                 raise ValueError(
                     f"snapshot is missing the 'layer{index}_key_blob' array"
                 ) from None
-            decoded.append((yes, no, tags, keys_from_arrays(tags, lengths, blob)))
-        # Intern every candidate key in (layer, position) order with one
-        # call; empty slots (the codec's NONE tag) keep EMPTY_ID.
-        occupied = np.concatenate([tags for _, _, tags, _ in decoded]) != KEY_TAG_NONE
-        candidates = list(compress(
-            chain.from_iterable(keys for _, _, _, keys in decoded), occupied.tolist()
-        ))
-        interner = KeyInterner(
-            max_keys=self.max_interned_keys, evict=self.interner_eviction
+            counters.append((yes, no))
+            encoded_keys.append((tags, lengths, blob))
+        # Every candidate key interns in (layer, position) order; empty
+        # slots (the codec's NONE tag) keep EMPTY_ID.
+        interner, slot_ids = KeyInterner.from_slot_arrays(
+            encoded_keys, max_keys=self.max_interned_keys
         )
-        slot_ids = np.full(len(occupied), EMPTY_ID, dtype=np.int64)
-        slot_ids[occupied] = interner.intern_many(candidates)
         layer_ids = np.split(slot_ids, np.cumsum([len(layer) for layer in self._layers])[:-1])
         settled = self._check_snapshot_shape(state, "settled", (self.config.depth + 1,))
         stats = self._check_snapshot_shape(state, "stats", (4,))
@@ -489,10 +467,9 @@ class ReliableSketch(Sketch):
             )
 
         self._interner = interner
-        for layer, (yes, no, _, keys), key_ids in zip(self._layers, decoded, layer_ids):
+        for layer, (yes, no), key_ids in zip(self._layers, counters, layer_ids):
             layer.yes = yes.astype(np.int64, copy=True)
             layer.no = no.astype(np.int64, copy=True)
-            layer.keys = list(keys)
             layer.key_ids = key_ids
         if filter_tables is not None:
             self._filter.state_restore(filter_tables)
@@ -503,22 +480,18 @@ class ReliableSketch(Sketch):
         self._query_count = int(stats[3])
 
     def copy_state_into(self, peer: "ReliableSketch") -> None:
-        """Copy the whole state into ``peer`` as arrays and lists (epoch replicas).
+        """Copy the whole state into ``peer`` as arrays (epoch replicas).
 
         The counter arrays and the mice-filter table are copied into
-        ``peer``'s own arrays, the candidate-key lists and statistics are
-        copied, and ``peer`` gets a compact interner of only its candidate
-        keys (:meth:`KeyInterner.compact`): no key codec, no per-key
-        interning.  ``peer`` then answers, and keeps ingesting, exactly as
-        a ``state_restore(state_snapshot())`` replica does.  Geometry is
-        checked before anything is written.  The copy needs every bucket's
-        id to name the bucket's key, which ``interner_eviction="lru"``
-        breaks by recycling ids; that mode and an emergency store (which
-        snapshots refuse) take the default snapshot + restore path.
+        ``peer``'s own arrays, the statistics are copied, and ``peer`` gets
+        a compact interner of only its candidate keys, with the buckets'
+        ids renumbered to match (:meth:`KeyInterner.compact`): no key codec,
+        no per-key interning.  ``peer`` then answers, and keeps ingesting,
+        exactly as a ``state_restore(state_snapshot())`` replica does.
+        Geometry is checked before anything is written.  An emergency store
+        on either side is refused, as snapshots refuse it.
         """
-        if self._interner.evict is not None or self._emergency is not None:
-            super().copy_state_into(peer)
-            return
+        self._check_no_emergency("copy_state_into()")
         peer._check_no_emergency("state_restore()")
         geometry = self._geometry()
         if peer._geometry() != geometry:
@@ -537,7 +510,6 @@ class ReliableSketch(Sketch):
         for layer, target, key_ids in zip(self._layers, peer._layers, layer_ids):
             np.copyto(target.yes, layer.yes)
             np.copyto(target.no, layer.no)
-            target.keys = layer.keys.copy()
             target.key_ids = key_ids
         if self._filter is not None:
             self._filter.copy_into(peer._filter)

@@ -1,9 +1,9 @@
-"""Key interning: dense integer ids for the kernel and batch-query paths.
+"""Key interning: dense integer ids, the only record of a bucket's key.
 
-The conflict-free update kernels compare candidate keys as ``int64``
-arrays, so every key a sketch touches is assigned a dense id on first
-contact.  ``dict`` lookup defines identity (``==``/``hash`` — exactly the
-equality the object-holding buckets used), and a NumPy side table
+Key-storing sketches hold each bucket's candidate key as an ``int64`` id,
+so the update kernels and both query paths compare keys as integers, and
+every key a sketch touches is assigned a dense id on first contact.
+``dict`` lookup defines identity (``==``/``hash``), and a NumPy side table
 accelerates the common case: batches of small non-negative ints (the
 paper's flow IDs) intern through one vectorized gather instead of one
 dict probe per item.
@@ -18,8 +18,13 @@ speed-for-memory trade of the batch datapath.
 
 Int batches intern in bulk on both sides of that limit: known keys
 resolve through one table gather or one C-level dict probe, and new keys
-take their first-contact ids through one ``dict.update``.  Restores use
-:meth:`KeyInterner.intern_many`, which never allocates the table, so a
+take their first-contact ids through one ``dict.update``.
+
+Ids are never recycled, so ``id_to_key`` names every bucket's key for
+the interner's whole life.  Snapshots encode the keys the occupied slots
+name (:meth:`KeyInterner.slot_key_arrays`) and restores intern them into a
+fresh interner (:meth:`KeyInterner.from_slot_arrays`, through
+:meth:`KeyInterner.intern_many`, which never allocates the table), so a
 replica rebuilt from a snapshot carries only the dict; a replica copied
 from a live sketch takes :meth:`KeyInterner.compact`, a dict of just its
 candidate keys.
@@ -27,11 +32,19 @@ candidate keys.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
 
+from repro.hashing.families import (
+    KEY_TAG_INT,
+    KEY_TAG_NONE,
+    encode_int_keys,
+    keys_from_arrays,
+    keys_to_arrays,
+    pack_int_keys,
+)
 from repro.kernels.scalar import EMPTY_ID, UNKNOWN_ID
 
 #: Int keys below this may enter the vectorized id table (32 MiB of int64
@@ -59,57 +72,20 @@ class KeyInterner:
     :class:`KeyInternerOverflowError` — a clear failure mode for adversarial
     key spaces instead of silent unbounded dict growth.
 
-    ``evict="lru"`` (requires ``max_keys``) recycles ids instead of
-    raising: interning a new key while full reassigns the id of the
-    least-recently-interned key, whose dict/table entries are dropped.
-    Recency advances on interning, not on queries, and batch interns touch
-    at batch granularity (every id in the batch gets the same clock tick).
-    Eviction is a *bounded-memory* mode, not a free lunch: a bucket may
-    still hold the recycled id, so the sketch's batch paths (which compare
-    ids) then report the new owner key for that bucket while its scalar
-    paths (which compare the bucket's key object) do not — acceptable for
-    the heavy-hitter sketches, whose buckets track recently-frequent keys
-    anyway.  A single batch
-    containing more distinct keys than ``max_keys`` will alias ids within
-    the batch; size the bound well above the expected working set.
-
-    ``on_assign`` (an optional ``(key, item_id)`` callable) fires whenever
-    an id is (re)assigned — sketches use it to maintain per-id caches.
+    An id, once assigned, names its key for the interner's whole life: a
+    bucket that holds id ``i`` holds ``id_to_key[i]``.
     """
 
-    __slots__ = (
-        "_ids",
-        "id_to_key",
-        "_table",
-        "max_keys",
-        "evict",
-        "on_assign",
-        "_last_touch",
-        "_touch_clock",
-        "_int_only",
-    )
+    __slots__ = ("_ids", "id_to_key", "_table", "max_keys", "_int_only")
 
-    def __init__(
-        self, max_keys: int | None = None, evict: str | None = None
-    ) -> None:
+    def __init__(self, max_keys: int | None = None) -> None:
         if max_keys is not None and max_keys <= 0:
             raise ValueError("max_keys must be positive (or None for unbounded)")
-        if evict not in (None, "lru"):
-            raise ValueError(f"unknown eviction policy {evict!r}; expected 'lru'")
-        if evict == "lru" and max_keys is None:
-            raise ValueError("evict='lru' requires max_keys")
         self._ids: dict = {}
         #: Inverse map; ``id_to_key[i]`` is the key that owns id ``i``.
         self.id_to_key: list = []
         self._table: np.ndarray | None = None
         self.max_keys = max_keys
-        self.evict = evict
-        #: Optional ``(key, item_id)`` hook fired on every id assignment.
-        self.on_assign = None
-        self._last_touch = (
-            np.zeros(max_keys, dtype=np.int64) if evict == "lru" else None
-        )
-        self._touch_clock = 0
         #: True while every interned key is a plain ``int`` — the invariant
         #: that lets batch misses skip the per-key dict probe (no ``==``-equal
         #: non-int alias can exist, and every covered int key is mirrored in
@@ -124,47 +100,28 @@ class KeyInterner:
         item_id = self._ids.get(key)
         if item_id is None:
             item_id = self._assign(key)
-        elif self._last_touch is not None:
-            self._touch_clock += 1
-            self._last_touch[item_id] = self._touch_clock
         return item_id
 
+    def lookup(self, key: object) -> int:
+        """The id of ``key``, or ``UNKNOWN_ID`` when it was never interned."""
+        return self._ids.get(key, UNKNOWN_ID)
+
     def _assign(self, key: object) -> int:
-        if type(key) is not int:
-            self._int_only = False
         item_id = len(self.id_to_key)
         if self.max_keys is not None and item_id >= self.max_keys:
-            if self.evict != "lru":
-                raise KeyInternerOverflowError(
-                    f"key interner is full: {self.max_keys} distinct keys "
-                    f"already interned, cannot intern {key!r} (raise max_keys, "
-                    "leave it unbounded, or enable evict='lru')"
-                )
-            item_id = self._evict_one()
-            self._ids[key] = item_id
-            self.id_to_key[item_id] = key
-        else:
-            self._ids[key] = item_id
-            self.id_to_key.append(key)
-        if self._last_touch is not None:
-            self._touch_clock += 1
-            self._last_touch[item_id] = self._touch_clock
+            raise KeyInternerOverflowError(
+                f"key interner is full: {self.max_keys} distinct keys "
+                f"already interned, cannot intern {key!r} (raise max_keys "
+                "or leave it unbounded)"
+            )
+        if type(key) is not int:
+            self._int_only = False
+        self._ids[key] = item_id
+        self.id_to_key.append(key)
         table = self._table
         if table is not None and type(key) is int and 0 <= key < len(table):
             table[key] = item_id
-        if self.on_assign is not None:
-            self.on_assign(key, item_id)
         return item_id
-
-    def _evict_one(self) -> int:
-        """Drop the least-recently-interned key and return its freed id."""
-        victim = int(np.argmin(self._last_touch))
-        old_key = self.id_to_key[victim]
-        del self._ids[old_key]
-        table = self._table
-        if table is not None and type(old_key) is int and 0 <= old_key < len(table):
-            table[old_key] = UNKNOWN_ID
-        return victim
 
     # ------------------------------------------------------------- batches
     def intern_batch(
@@ -183,11 +140,11 @@ class KeyInterner:
             ids = table[int_keys]
             missing = np.flatnonzero(ids < 0)
             if missing.size:
-                if self.max_keys is None and self.on_assign is None:
+                if self.max_keys is None:
                     self._assign_batch(keys, int_keys, ids, missing)
                 else:
-                    # Bounded / hooked interners take the scalar path so
-                    # eviction, overflow and assignment hooks fire per key.
+                    # A bounded interner assigns key by key, so the overflow
+                    # fires at the first key past the bound.
                     get = self._ids.get
                     for position in missing.tolist():
                         key = int(int_keys[position])
@@ -196,7 +153,6 @@ class KeyInterner:
                             item_id = self._assign(key)
                         table[key] = item_id
                         ids[position] = item_id
-            self._touch_batch(ids)
             return ids
         if int_keys is not None and self._bulk_assigns():
             return self._intern_ints(keys, int_keys)
@@ -210,17 +166,15 @@ class KeyInterner:
                     if item_id is None:
                         item_id = self._assign(key)
                     ids[position] = item_id
-        id_array = np.asarray(ids, dtype=np.int64)
-        self._touch_batch(id_array)
-        return id_array
+        return np.asarray(ids, dtype=np.int64)
 
     def intern_many(self, keys: Sequence[object]) -> np.ndarray:
         """Ids of ``keys`` exactly as one :meth:`intern` call per key assigns them.
 
-        Same ids, same overflow point and the same LRU touch clock as that
-        loop, and like it this never allocates the id table — a restored
-        replica must not pay for one.  An unbounded, unhooked interner
-        resolves a batch of plain ``int`` keys through the bulk path.
+        Same ids and the same overflow point as that loop, and like it this
+        never allocates the id table — a restored replica must not pay for
+        one.  An unbounded interner resolves a batch of plain ``int`` keys
+        through the bulk path.
         """
         if self._bulk_assigns() and set(map(type, keys)) == {int}:
             try:
@@ -239,8 +193,7 @@ class KeyInterner:
         ``slot_ids`` holds this interner's ids (``EMPTY_ID`` for empty
         slots); its ``m`` distinct ids become ``0..m-1``, in id order, each
         mapped to its key here.  Like one filled by :meth:`intern_many`, the
-        new interner is unhooked, has no id table and never evicts.  Only
-        meaningful while ids are never recycled (``evict is None``).  Raises
+        new interner has no id table.  Raises
         :class:`KeyInternerOverflowError`, before building anything, when
         ``m`` exceeds ``max_keys``.
         """
@@ -260,16 +213,71 @@ class KeyInterner:
         compact_ids[occupied] = renumbered
         return interner, compact_ids
 
+    def slot_key_arrays(self, slot_ids: np.ndarray) -> dict[str, np.ndarray]:
+        """:func:`~repro.hashing.families.keys_to_arrays` of the keys ``slot_ids`` name.
+
+        ``slot_ids`` holds this interner's ids, ``EMPTY_ID`` for empty
+        slots (which encode as ``None``).  Only the occupied slots' keys are
+        gathered and encoded; the result is byte for byte the encoding of
+        the full slot list, because empty slots contribute no blob bytes.
+        While every interned key is a plain ``int``, the keys go straight to
+        the whole-array int codec, skipping the codec's per-key type screen.
+        """
+        occupied = np.flatnonzero(slot_ids != EMPTY_ID)
+        keys = list(map(self.id_to_key.__getitem__, slot_ids[occupied].tolist()))
+        tags = np.full(len(slot_ids), KEY_TAG_NONE, dtype=np.uint8)
+        lengths = np.zeros(len(slot_ids), dtype=np.uint32)
+        if self._int_only:
+            try:
+                int_lengths, rows = encode_int_keys(
+                    np.fromiter(keys, dtype=np.int64, count=len(keys))
+                )
+            except OverflowError:  # beyond int64, or -2^63: the per-key codec
+                pass
+            else:
+                tags[occupied] = KEY_TAG_INT
+                lengths[occupied] = int_lengths
+                return {"tags": tags, "lengths": lengths, "blob": pack_int_keys(int_lengths, rows)}
+        arrays = keys_to_arrays(keys)
+        tags[occupied] = arrays["tags"]
+        lengths[occupied] = arrays["lengths"]
+        return {"tags": tags, "lengths": lengths, "blob": arrays["blob"]}
+
+    @classmethod
+    def from_slot_arrays(
+        cls, encoded: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        max_keys: int | None = None,
+    ) -> tuple["KeyInterner", np.ndarray]:
+        """A fresh interner of encoded slot keys, and every slot's id.
+
+        ``encoded`` lists ``(tags, lengths, blob)`` slot encodings (one per
+        table, say), each decoded and validated on its own by
+        :func:`~repro.hashing.families.keys_from_arrays`; their slots are
+        concatenated in order.  The occupied slots' keys intern with one
+        :meth:`intern_many` call — the ids one :meth:`intern` per occupied
+        slot would assign — and empty slots get ``EMPTY_ID``.  Malformed
+        input raises ``ValueError``, and more distinct keys than
+        ``max_keys`` raise :class:`KeyInternerOverflowError`.
+        """
+        keys: list = []
+        occupied_parts = []
+        for tags, lengths, blob in encoded:
+            keys += keys_from_arrays(tags, lengths, blob)
+            occupied_parts.append(np.asarray(tags) != KEY_TAG_NONE)
+        occupied = np.concatenate(occupied_parts)
+        interner = cls(max_keys=max_keys)
+        slot_ids = np.full(len(occupied), EMPTY_ID, dtype=np.int64)
+        slot_ids[occupied] = interner.intern_many(list(compress(keys, occupied.tolist())))
+        return interner, slot_ids
+
     def _bulk_assigns(self) -> bool:
         """Whether new keys may take :meth:`_assign_new`.
 
-        Only for the unhooked, unbounded interner (no ``max_keys``, hence no
-        LRU clock, no ``on_assign``) that has only ever seen plain ``int``
-        keys: ids are then dense stream-order integers with no per-key side
-        effect, and no ``==``-equal non-int alias can hide a key from the
-        id table.
+        Only for the unbounded interner that has only ever seen plain
+        ``int`` keys: ids are then dense stream-order integers, and no
+        ``==``-equal non-int alias can hide a key from the id table.
         """
-        return self.max_keys is None and self.on_assign is None and self._int_only
+        return self.max_keys is None and self._int_only
 
     def _intern_ints(self, keys: Sequence[object], int_keys: np.ndarray) -> np.ndarray:
         """Bulk interning of plain ``int`` keys through one C-level dict probe."""
@@ -317,7 +325,7 @@ class KeyInterner:
     ) -> None:
         """Assign the batch's table misses in first-contact order.
 
-        For the unhooked, unbounded interner.  While it has only ever seen
+        For the unbounded interner.  While it has only ever seen
         plain ``int`` keys (``_int_only``), a table miss is provably a
         brand-new key, so the misses take the bulk :meth:`_assign_new`;
         otherwise the dict is consulted per distinct key — a miss may be a
@@ -340,12 +348,6 @@ class KeyInterner:
                 id_to_key.append(key)
             table[key] = item_id
         ids[missing] = table[miss_keys]
-
-    def _touch_batch(self, ids: np.ndarray) -> None:
-        """LRU touch at batch granularity: one clock tick for the whole batch."""
-        if self._last_touch is not None and ids.size:
-            self._touch_clock += 1
-            self._last_touch[np.unique(ids)] = self._touch_clock
 
     def lookup_batch(
         self, keys: Sequence[object], int_keys: np.ndarray | None = None

@@ -392,7 +392,7 @@ def reliable_layer_update(
     indexes: np.ndarray,
     item_ids: np.ndarray,
     remaining: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One ReliableSketch layer via conflict-free rounds.
 
     Groups are keys (same key, same bucket).  A block of ``m`` same-key
@@ -416,9 +416,8 @@ def reliable_layer_update(
     count = remaining.shape[0]
     survive = np.zeros(count, dtype=bool)
     excess_out = np.zeros(count, dtype=np.int64)
-    changed_parts: list[np.ndarray] = []
     if count == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
 
     # Saturation fast path.  A bucket that is already *hard-locked* — NO at
     # or above the threshold floor with YES strictly above it — can never
@@ -450,7 +449,7 @@ def reliable_layer_update(
         live = np.flatnonzero(~locked_buckets)
         if not live.size:
             survivors_out = np.flatnonzero(survive)
-            return survivors_out, excess_out[survivors_out], np.empty(0, dtype=np.int64)
+            return survivors_out, excess_out[survivors_out]
         indexes = indexes[live]
         item_ids = item_ids[live]
         live_remaining = remaining[live]
@@ -464,16 +463,12 @@ def reliable_layer_update(
         if is_tail:
             from repro.kernels import python_backend
 
-            tail_survivors, tail_excess, tail_changed = (
-                python_backend.reliable_layer_update(
-                    key_ids, yes, no, lam_floor,
-                    indexes[pos], item_ids[pos], live_remaining[pos],
-                )
+            tail_survivors, tail_excess = python_backend.reliable_layer_update(
+                key_ids, yes, no, lam_floor,
+                indexes[pos], item_ids[pos], live_remaining[pos],
             )
             survive[out_pos[tail_survivors]] = True
             excess_out[out_pos[tail_survivors]] = tail_excess
-            if tail_changed.size:
-                changed_parts.append(tail_changed)
             break
         values = live_remaining[pos]
         seg_starts, seg_ends, seg_id = _segments(indexes[pos])
@@ -495,7 +490,6 @@ def reliable_layer_update(
             key_ids[adopted] = group_ids[empty]
             yes[adopted] = totals[empty]
             no[adopted] = 0
-            changed_parts.append(adopted)
         if match.any():
             yes[buckets[match]] += totals[match]
         if foreign.any():
@@ -539,14 +533,8 @@ def reliable_layer_update(
                 key_ids[swapped] = group_ids[replaced]
                 no[swapped] = pos_votes[replaced]
                 yes[swapped] = (neg_votes + totals)[replaced]
-                changed_parts.append(swapped)
     survivors_out = np.flatnonzero(survive)
-    changed = (
-        np.unique(np.concatenate(changed_parts))
-        if changed_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    return survivors_out, excess_out[survivors_out], changed
+    return survivors_out, excess_out[survivors_out]
 
 
 def elastic_update(
@@ -558,7 +546,7 @@ def elastic_update(
     indexes: np.ndarray,
     item_ids: np.ndarray,
     values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elastic heavy-part replay via conflict-free rounds.
 
     Same-key blocks at one bucket collapse like ReliableSketch's, with the
@@ -572,27 +560,21 @@ def elastic_update(
     light = np.zeros(count, dtype=bool)
     evicted_ids: list[np.ndarray] = []
     evicted_values: list[np.ndarray] = []
-    changed_parts: list[np.ndarray] = []
     if count == 0:
-        empty_i64 = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=np.intp), empty_i64, empty_i64.copy(), empty_i64.copy()
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     rounds = _schedule(indexes, item_ids)
     for pos, is_tail in _round_slices(rounds, indexes):
         if is_tail:
             from repro.kernels import python_backend
 
-            tail_light, tail_ids, tail_values, tail_changed = (
-                python_backend.elastic_update(
-                    key_ids, positive, negative, flags, eviction_ratio,
-                    indexes[pos], item_ids[pos], values[pos],
-                )
+            tail_light, tail_ids, tail_values = python_backend.elastic_update(
+                key_ids, positive, negative, flags, eviction_ratio,
+                indexes[pos], item_ids[pos], values[pos],
             )
             light[pos[tail_light]] = True
             if tail_ids.size:
                 evicted_ids.append(tail_ids)
                 evicted_values.append(tail_values)
-            if tail_changed.size:
-                changed_parts.append(tail_changed)
             break
         item_values = values[pos]
         seg_starts, seg_ends, seg_id = _segments(indexes[pos])
@@ -615,7 +597,6 @@ def elastic_update(
             positive[adopted] = totals[empty]
             negative[adopted] = 0
             flags[adopted] = False
-            changed_parts.append(adopted)
         if match.any():
             positive[buckets[match]] += totals[match]
         if foreign.any():
@@ -641,14 +622,10 @@ def elastic_update(
                 positive[swapped] = tail[evicting]
                 negative[swapped] = 1
                 flags[swapped] = True
-                changed_parts.append(swapped)
     return (
         np.flatnonzero(light),
         np.concatenate(evicted_ids) if evicted_ids else np.empty(0, dtype=np.int64),
         np.concatenate(evicted_values) if evicted_values else np.empty(0, dtype=np.int64),
-        np.unique(np.concatenate(changed_parts))
-        if changed_parts
-        else np.empty(0, dtype=np.int64),
     )
 
 
@@ -725,7 +702,7 @@ def coco_update(
     values: np.ndarray,
     positions: np.ndarray,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
     """CocoSketch batch update via conflict-free frontier rounds.
 
     Each round takes the :func:`_frontier` of the pending items and
@@ -761,35 +738,26 @@ def coco_update(
     bit-invisible.
     """
     count = item_ids.shape[0]
-    changed_rows_parts: list[np.ndarray] = []
-    changed_cells_parts: list[np.ndarray] = []
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return
     if count > _COCO_CHUNK:
         for lo in range(0, count, _COCO_CHUNK):
             hi = min(lo + _COCO_CHUNK, count)
-            rows, cells = coco_update(
+            coco_update(
                 key_ids, counts, indexes[:, lo:hi], item_ids[lo:hi],
                 values[lo:hi], positions[lo:hi], seed,
             )
-            changed_rows_parts.append(rows)
-            changed_cells_parts.append(cells)
-        return (
-            np.concatenate(changed_rows_parts),
-            np.concatenate(changed_cells_parts),
-        )
+        return
     depth = indexes.shape[0]
     row_index = np.arange(depth)
 
     def replay(items: np.ndarray) -> None:
         from repro.kernels import python_backend
 
-        rows, cells = python_backend.coco_update(
+        python_backend.coco_update(
             key_ids, counts, indexes[:, items], item_ids[items],
             values[items], positions[items], seed,
         )
-        changed_rows_parts.append(rows)
-        changed_cells_parts.append(cells)
 
     # Sorted orders (per-row by cell, global by key id; ties in stream
     # order) are computed once and filtered as rounds retire items.
@@ -837,8 +805,6 @@ def coco_update(
             cells_f = gcells[rows_f, g_index[fresh]]
             key_ids[rows_f, cells_f] = gids[fresh]
             counts[rows_f, cells_f] = totals[fresh]
-            changed_rows_parts.append(rows_f)
-            changed_cells_parts.append(cells_f)
         contended = ~matched & (empty_row == depth)
         if contended.any():
             all_unit = np.maximum.reduceat(vals, seg_starts) == 1
@@ -883,22 +849,11 @@ def coco_update(
                 if succeeded.any():
                     sc = np.flatnonzero(succeeded)
                     rows_s = minimum_row[sc]
-                    cells_s = cells_e[rows_s, sc]
-                    key_ids[rows_s, cells_s] = gids[idx[sc]]
-                    changed_rows_parts.append(rows_s)
-                    changed_cells_parts.append(cells_s)
+                    key_ids[rows_s, cells_e[rows_s, sc]] = gids[idx[sc]]
         alive &= ~eligible
         pending -= sel.size
         key_order = key_order[~eligible[key_order]]
         row_orders = [order[~eligible[order]] for order in row_orders]
-    return (
-        np.concatenate(changed_rows_parts)
-        if changed_rows_parts
-        else np.empty(0, dtype=np.int64),
-        np.concatenate(changed_cells_parts)
-        if changed_cells_parts
-        else np.empty(0, dtype=np.int64),
-    )
 
 
 def precision_update(
@@ -909,7 +864,7 @@ def precision_update(
     values: np.ndarray,
     positions: np.ndarray,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> int:
     """PRECISION batch update via conflict-free frontier rounds.
 
     Same frontier machinery as :func:`coco_update`; the closed forms are
@@ -925,41 +880,30 @@ def precision_update(
 
     Long batches split into stream-order sub-chunks of
     :data:`_PRECISION_CHUNK` items, exactly as in :func:`coco_update`.
+    Returns the number of recirculations (entry replacements).
     """
     count = item_ids.shape[0]
-    changed_rows_parts: list[np.ndarray] = []
-    changed_cells_parts: list[np.ndarray] = []
     recirculations = 0
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+        return 0
     if count > _PRECISION_CHUNK:
         for lo in range(0, count, _PRECISION_CHUNK):
             hi = min(lo + _PRECISION_CHUNK, count)
-            rows, cells, recirculated = precision_update(
+            recirculations += precision_update(
                 key_ids, counts, indexes[:, lo:hi], item_ids[lo:hi],
                 values[lo:hi], positions[lo:hi], seed,
             )
-            changed_rows_parts.append(rows)
-            changed_cells_parts.append(cells)
-            recirculations += recirculated
-        return (
-            np.concatenate(changed_rows_parts),
-            np.concatenate(changed_cells_parts),
-            recirculations,
-        )
+        return recirculations
     depth = indexes.shape[0]
     row_index = np.arange(depth)
 
     def replay(items: np.ndarray) -> int:
         from repro.kernels import python_backend
 
-        rows, cells, recirculated = python_backend.precision_update(
+        return python_backend.precision_update(
             key_ids, counts, indexes[:, items], item_ids[items],
             values[items], positions[items], seed,
         )
-        changed_rows_parts.append(rows)
-        changed_cells_parts.append(cells)
-        return recirculated
 
     row_orders = [_cell_argsort(row_cells) for row_cells in indexes]
     key_order = _cell_argsort(item_ids)
@@ -1005,8 +949,6 @@ def precision_update(
             cells_f = gcells[rows_f, g_index[fresh]]
             key_ids[rows_f, cells_f] = gids[fresh]
             counts[rows_f, cells_f] = totals[fresh]
-            changed_rows_parts.append(rows_f)
-            changed_cells_parts.append(cells_f)
         contended = np.minimum(match_row, empty_row) == depth
         if contended.any():
             idx = np.flatnonzero(contended)
@@ -1033,22 +975,12 @@ def precision_update(
                     entry_min[sc] + vals[f] + totals[idx[sc]] - prefix[f]
                 )
                 key_ids[rows_s, cells_s] = gids[idx[sc]]
-                changed_rows_parts.append(rows_s)
-                changed_cells_parts.append(cells_s)
                 recirculations += int(sc.size)
         alive &= ~eligible
         pending -= sel.size
         key_order = key_order[~eligible[key_order]]
         row_orders = [order[~eligible[order]] for order in row_orders]
-    return (
-        np.concatenate(changed_rows_parts)
-        if changed_rows_parts
-        else np.empty(0, dtype=np.int64),
-        np.concatenate(changed_cells_parts)
-        if changed_cells_parts
-        else np.empty(0, dtype=np.int64),
-        recirculations,
-    )
+    return recirculations
 
 
 def hashpipe_update(
@@ -1057,7 +989,7 @@ def hashpipe_update(
     stage_cells: np.ndarray,
     item_ids: np.ndarray,
     values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """HashPipe batch update: stage-1 rounds, then a per-stage token pipeline.
 
     The pipeline stages touch disjoint arrays, so the batch separates into
@@ -1074,17 +1006,15 @@ def hashpipe_update(
     position.  Tokens cannot overtake (each stage emits in position
     order), so per-stage position order is exactly the scalar interleaving.
 
-    Returns ``(changed_rows, changed_cells, stage_entries)`` where
-    ``stage_entries[row]`` counts tokens entering walk stage ``row`` (the
-    scalar per-stage hash-call accounting).
+    Returns ``stage_entries``, where ``stage_entries[row]`` counts tokens
+    entering walk stage ``row`` (the scalar per-stage hash-call
+    accounting).
     """
     depth = key_ids.shape[0]
     count = item_ids.shape[0]
     stage_entries = np.zeros(depth, dtype=np.int64)
-    changed_rows_parts: list[np.ndarray] = []
-    changed_cells_parts: list[np.ndarray] = []
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), stage_entries
+        return stage_entries
 
     from repro.kernels.scalar import hashpipe_token_apply
 
@@ -1141,11 +1071,6 @@ def hashpipe_update(
     survivors = np.flatnonzero(last_run)
     key_ids[0, run_cells[survivors]] = run_keys[survivors]
     counts[0, run_cells[survivors]] = eff_totals[survivors]
-    installed = ~merged
-    if installed.any():
-        cells_i = run_cells[installed]
-        changed_rows_parts.append(np.zeros(cells_i.size, dtype=np.int64))
-        changed_cells_parts.append(cells_i)
 
     token_pos = np.concatenate(token_pos_parts) if token_pos_parts else np.empty(0, dtype=np.int64)
     token_ids = np.concatenate(token_id_parts) if token_id_parts else np.empty(0, dtype=np.int64)
@@ -1238,26 +1163,19 @@ def hashpipe_update(
                 tail_pos = []
                 tail_ids = []
                 tail_counts = []
-                tail_changed = []
                 cell_list = s_cells[pos].tolist()
                 id_list = s_ids[pos].tolist()
                 count_list = s_counts[pos].tolist()
                 stream_list = s_pos[pos].tolist()
                 for offset in range(len(cell_list)):
-                    carry, key_changed = hashpipe_token_apply(
+                    carry = hashpipe_token_apply(
                         key_ids[stage], counts[stage], cell_list[offset],
                         id_list[offset], count_list[offset],
                     )
-                    if key_changed:
-                        tail_changed.append(cell_list[offset])
                     if carry is not None:
                         tail_pos.append(stream_list[offset])
                         tail_ids.append(carry[0])
                         tail_counts.append(carry[1])
-                if tail_changed:
-                    cells_t = np.asarray(tail_changed, dtype=np.int64)
-                    changed_rows_parts.append(np.full(cells_t.size, stage, dtype=np.int64))
-                    changed_cells_parts.append(cells_t)
                 next_pos_parts.append(np.asarray(tail_pos, dtype=np.int64))
                 next_id_parts.append(np.asarray(tail_ids, dtype=np.int64))
                 next_count_parts.append(np.asarray(tail_counts, dtype=np.int64))
@@ -1284,8 +1202,6 @@ def hashpipe_update(
                 cells_i = gcells[empty]
                 key_ids[stage, cells_i] = gids[empty]
                 counts[stage, cells_i] = totals[empty]
-                changed_rows_parts.append(np.full(cells_i.size, stage, dtype=np.int64))
-                changed_cells_parts.append(cells_i)
             if foreign.any():
                 sentinel = len(pos)
                 crossed = foreign[seg_id] & (group_counts > incumbent[seg_id])
@@ -1309,8 +1225,6 @@ def hashpipe_update(
                     counts[stage, cells_s] = (
                         group_counts[f] + totals[si] - prefix[f]
                     )
-                    changed_rows_parts.append(np.full(cells_s.size, stage, dtype=np.int64))
-                    changed_cells_parts.append(cells_s)
         token_pos = np.concatenate(next_pos_parts) if next_pos_parts else np.empty(0, dtype=np.int64)
         token_ids = np.concatenate(next_id_parts) if next_id_parts else np.empty(0, dtype=np.int64)
         token_counts = np.concatenate(next_count_parts) if next_count_parts else np.empty(0, dtype=np.int64)
@@ -1318,12 +1232,4 @@ def hashpipe_update(
         token_pos, token_ids, token_counts = (
             token_pos[order], token_ids[order], token_counts[order]
         )
-    return (
-        np.concatenate(changed_rows_parts)
-        if changed_rows_parts
-        else np.empty(0, dtype=np.int64),
-        np.concatenate(changed_cells_parts)
-        if changed_cells_parts
-        else np.empty(0, dtype=np.int64),
-        stage_entries,
-    )
+    return stage_entries

@@ -56,34 +56,25 @@ def reliable_layer_update(
     indexes: np.ndarray,
     item_ids: np.ndarray,
     remaining: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One ReliableSketch layer's bucket replay for a batch of survivors.
 
-    Returns ``(survivors, excess, changed)``: the positions (ascending, i.e.
-    stream order) of the items whose value did not settle in this layer, the
-    excess value each pushes to the next layer, and the bucket indexes whose
-    candidate key changed.
+    Returns ``(survivors, excess)``: the positions (ascending, i.e. stream
+    order) of the items whose value did not settle in this layer, and the
+    excess value each pushes to the next layer.
     """
     survivors: list[int] = []
     excess: list[int] = []
-    changed: list[int] = []
     index_list = indexes.tolist()
     id_list = item_ids.tolist()
     for position, value in enumerate(remaining.tolist()):
-        index = index_list[position]
-        leftover, adopted = bucket_apply(
-            key_ids, yes, no, index, id_list[position], value, lam_floor
+        leftover = bucket_apply(
+            key_ids, yes, no, index_list[position], id_list[position], value, lam_floor
         )
-        if adopted:
-            changed.append(index)
         if leftover is not None:
             survivors.append(position)
             excess.append(leftover)
-    return (
-        np.asarray(survivors, dtype=np.intp),
-        np.asarray(excess, dtype=np.int64),
-        np.unique(np.asarray(changed, dtype=np.int64)),
-    )
+    return np.asarray(survivors, dtype=np.intp), np.asarray(excess, dtype=np.int64)
 
 
 def elastic_update(
@@ -95,28 +86,24 @@ def elastic_update(
     indexes: np.ndarray,
     item_ids: np.ndarray,
     values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elastic heavy-part replay for a whole batch.
 
-    Returns ``(light_positions, evicted_ids, evicted_values, changed)``:
-    the positions whose own ``<key, value>`` goes to the light part
-    (ascending), the interned ids and vote counts of evicted incumbents
-    (one light insert each, in eviction order), and the changed buckets.
+    Returns ``(light_positions, evicted_ids, evicted_values)``: the
+    positions whose own ``<key, value>`` goes to the light part
+    (ascending), and the interned ids and vote counts of evicted incumbents
+    (one light insert each, in eviction order).
     """
     light_positions: list[int] = []
     evicted_ids: list[int] = []
     evicted_values: list[int] = []
-    changed: list[int] = []
     index_list = indexes.tolist()
     id_list = item_ids.tolist()
     for position, value in enumerate(values.tolist()):
-        index = index_list[position]
-        light_self, evicted, adopted = elastic_apply(
-            key_ids, positive, negative, flags, index, id_list[position], value,
-            eviction_ratio,
+        light_self, evicted = elastic_apply(
+            key_ids, positive, negative, flags, index_list[position],
+            id_list[position], value, eviction_ratio,
         )
-        if adopted:
-            changed.append(index)
         if light_self:
             light_positions.append(position)
         if evicted is not None:
@@ -126,7 +113,6 @@ def elastic_update(
         np.asarray(light_positions, dtype=np.intp),
         np.asarray(evicted_ids, dtype=np.int64),
         np.asarray(evicted_values, dtype=np.int64),
-        np.unique(np.asarray(changed, dtype=np.int64)),
     )
 
 
@@ -138,31 +124,21 @@ def coco_update(
     values: np.ndarray,
     positions: np.ndarray,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
     """CocoSketch replay for a whole batch, in stream order.
 
     ``positions`` carries each item's absolute RNG position (the sketch's
     running draw counter), so replaying any sub-slice of a stream draws the
-    same numbers the full scalar run would.  Returns the ``(rows, cells)``
-    whose candidate key changed.
+    same numbers the full scalar run would.
     """
-    changed_rows: list[int] = []
-    changed_cells: list[int] = []
     index_rows = [row.tolist() for row in indexes]
     position_list = positions.tolist()
     id_list = item_ids.tolist()
     for item, value in enumerate(values.tolist()):
-        cells = [row[item] for row in index_rows]
-        row = coco_apply(
-            key_ids, counts, cells, id_list[item], value, seed, position_list[item]
+        coco_apply(
+            key_ids, counts, [row[item] for row in index_rows], id_list[item],
+            value, seed, position_list[item],
         )
-        if row >= 0:
-            changed_rows.append(row)
-            changed_cells.append(cells[row])
-    return (
-        np.asarray(changed_rows, dtype=np.int64),
-        np.asarray(changed_cells, dtype=np.int64),
-    )
 
 
 def precision_update(
@@ -173,32 +149,21 @@ def precision_update(
     values: np.ndarray,
     positions: np.ndarray,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> int:
     """PRECISION replay for a whole batch, in stream order.
 
-    Returns ``(changed_rows, changed_cells, recirculations)``.
+    Returns the number of recirculations (entry replacements).
     """
-    changed_rows: list[int] = []
-    changed_cells: list[int] = []
     recirculations = 0
     index_rows = [row.tolist() for row in indexes]
     position_list = positions.tolist()
     id_list = item_ids.tolist()
     for item, value in enumerate(values.tolist()):
-        cells = [row[item] for row in index_rows]
-        row, recirculated = precision_apply(
-            key_ids, counts, cells, id_list[item], value, seed, position_list[item]
+        recirculations += precision_apply(
+            key_ids, counts, [row[item] for row in index_rows], id_list[item],
+            value, seed, position_list[item],
         )
-        if recirculated:
-            recirculations += 1
-        if row >= 0:
-            changed_rows.append(row)
-            changed_cells.append(cells[row])
-    return (
-        np.asarray(changed_rows, dtype=np.int64),
-        np.asarray(changed_cells, dtype=np.int64),
-        recirculations,
-    )
+    return recirculations
 
 
 def hashpipe_update(
@@ -207,31 +172,19 @@ def hashpipe_update(
     stage_cells: np.ndarray,
     item_ids: np.ndarray,
     values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """HashPipe replay for a whole batch, in stream order.
 
     ``stage_cells[row, id]`` pre-computes every interned key's cell at
     every stage (the walk needs the *evicted* key's cells, which a plain
-    per-item index batch cannot supply).  Returns ``(changed_rows,
-    changed_cells, stage_entries)`` where ``stage_entries[row]`` counts the
-    carried keys that entered walk stage ``row`` — the per-stage hash-call
-    accounting of the scalar loop.
+    per-item index batch cannot supply).  Returns ``stage_entries``, where
+    ``stage_entries[row]`` counts the carried keys that entered walk stage
+    ``row`` — the per-stage hash-call accounting of the scalar loop.
     """
-    changed_rows: list[int] = []
-    changed_cells: list[int] = []
     stage_entries = np.zeros(key_ids.shape[0], dtype=np.int64)
     id_list = item_ids.tolist()
     for item, value in enumerate(values.tolist()):
-        changed, walk_stages = hashpipe_apply(
-            key_ids, counts, stage_cells, id_list[item], value
-        )
-        for row, cell in changed:
-            changed_rows.append(row)
-            changed_cells.append(cell)
+        walk_stages = hashpipe_apply(key_ids, counts, stage_cells, id_list[item], value)
         if walk_stages:
             stage_entries[1 : 1 + walk_stages] += 1
-    return (
-        np.asarray(changed_rows, dtype=np.int64),
-        np.asarray(changed_cells, dtype=np.int64),
-        stage_entries,
-    )
+    return stage_entries

@@ -35,10 +35,13 @@ slowest kernel backend cannot drift apart; the vectorized backend is
 pinned to them by the kernel-parity test matrix.
 
 Key identity is integer-encoded: each sketch interns keys into dense ids
-(``dict`` lookups use ``==``/``hash``, exactly the equality the previous
-object-holding buckets used), and the sentinels below mark the two "no id"
-cases.  ``EMPTY_ID`` and ``UNKNOWN_ID`` are distinct so that a query for a
-never-inserted key can never match an empty bucket.
+(``dict`` lookups use ``==``/``hash``), and a bucket's id is the only
+record of its candidate key — the interner's ``id_to_key`` names it, so
+the transitions return only what the caller must act on (excess value,
+light-part traffic, carried tokens), never which buckets changed.  The
+sentinels below mark the two "no id" cases.  ``EMPTY_ID`` and
+``UNKNOWN_ID`` are distinct so that a query for a never-inserted key can
+never match an empty bucket.
 
 Integer thresholds
 ------------------
@@ -133,14 +136,11 @@ def bucket_apply(
     item_id: int,
     value: int,
     lam_floor: int,
-) -> tuple[int | None, bool]:
+) -> int | None:
     """One ``<key, value>`` arrival at one Error-Sensible bucket (Algorithm 1).
 
-    Returns ``(excess, changed)``: ``excess`` is ``None`` when the value
-    settled in this layer or the positive amount to push to the next layer
-    when the bucket's lock triggered; ``changed`` is True when the bucket's
-    candidate key changed (adoption or replacement), so the caller can keep
-    the object-key list in sync with ``key_ids``.
+    Returns ``None`` when the value settled in this layer, or the positive
+    excess to push to the next layer when the bucket's lock triggered.
     """
     bucket_id = int(key_ids[index])
     if bucket_id == EMPTY_ID:
@@ -148,10 +148,10 @@ def bucket_apply(
         key_ids[index] = item_id
         yes[index] = value
         no[index] = 0
-        return None, True
+        return None
     if bucket_id == item_id:
         yes[index] += value
-        return None, False
+        return None
     no_votes = int(no[index])
     if no_votes + value > lam_floor and yes[index] > lam_floor:
         # Lock triggered: absorb only what keeps NO at the threshold,
@@ -160,16 +160,16 @@ def bucket_apply(
         if absorbed > 0:
             no[index] = lam_floor
             value -= absorbed
-        return value, False
+        return value
     # Normal negative vote, possibly followed by a replacement.
     no_votes += value
     if no_votes >= yes[index]:
         key_ids[index] = item_id
         no[index] = yes[index]
         yes[index] = no_votes
-        return None, True
+        return None
     no[index] = no_votes
-    return None, False
+    return None
 
 
 def elastic_apply(
@@ -181,14 +181,13 @@ def elastic_apply(
     item_id: int,
     value: int,
     eviction_ratio: int,
-) -> tuple[bool, tuple[int, int] | None, bool]:
+) -> tuple[bool, tuple[int, int] | None]:
     """One Elastic heavy-part arrival at a pre-computed bucket index.
 
-    Returns ``(light_self, evicted, changed)``: ``light_self`` is True when
-    the item's own ``<key, value>`` must go to the light part, ``evicted``
+    Returns ``(light_self, evicted)``: ``light_self`` is True when the
+    item's own ``<key, value>`` must go to the light part, and ``evicted``
     carries ``(incumbent_id, incumbent_votes)`` when the arrival evicted the
-    incumbent (the caller light-inserts it), and ``changed`` flags a new
-    candidate key for the object-list sync.
+    incumbent (the caller light-inserts it).
     """
     bucket_id = int(key_ids[index])
     if bucket_id == EMPTY_ID:
@@ -196,10 +195,10 @@ def elastic_apply(
         positive[index] = value
         negative[index] = 0
         flags[index] = False
-        return False, None, True
+        return False, None
     if bucket_id == item_id:
         positive[index] += value
-        return False, None, False
+        return False, None
     negative[index] += value
     if negative[index] >= eviction_ratio * positive[index]:
         # Evict the incumbent to the light part and install the newcomer.
@@ -208,8 +207,8 @@ def elastic_apply(
         positive[index] = value
         negative[index] = 1  # Elastic resets the vote-all counter.
         flags[index] = True
-        return False, evicted, True
-    return True, None, False
+        return False, evicted
+    return True, None
 
 
 def coco_apply(
@@ -220,14 +219,13 @@ def coco_apply(
     value: int,
     seed: int,
     position: int,
-) -> int:
+) -> None:
     """One CocoSketch arrival at pre-computed per-row cells.
 
     Scan the rows in order: a matching cell absorbs the value outright;
     otherwise the first strictly-smallest cell among all rows takes it —
     installed when empty, or counted with a ``value / new_count``
     probabilistic key replacement (unbiased per-cell sum, as in CocoSketch).
-    Returns the changed row (new candidate key) or ``-1``.
     """
     depth = key_ids.shape[0]
     min_row = 0
@@ -236,7 +234,7 @@ def coco_apply(
         cell = cells[row]
         if key_ids[row, cell] == item_id:
             counts[row, cell] += value
-            return -1
+            return
         reading = int(counts[row, cell])
         if min_count < 0 or reading < min_count:
             min_row = row
@@ -245,13 +243,11 @@ def coco_apply(
     if key_ids[min_row, cell] == EMPTY_ID:
         key_ids[min_row, cell] = item_id
         counts[min_row, cell] = value
-        return min_row
+        return
     new_count = min_count + value
     counts[min_row, cell] = new_count
     if counter_rand(seed, position) < float(value) / float(new_count):
         key_ids[min_row, cell] = item_id
-        return min_row
-    return -1
 
 
 def precision_apply(
@@ -262,7 +258,7 @@ def precision_apply(
     value: int,
     seed: int,
     position: int,
-) -> tuple[int, bool]:
+) -> bool:
     """One PRECISION arrival at pre-computed per-row cells.
 
     The first row that matches absorbs the value; the first empty row
@@ -270,7 +266,7 @@ def precision_apply(
     the strictly-smallest count recirculates the packet with probability
     ``value / (min + value)`` — on success the key is replaced and the
     counter jumps to ``min + value``; on failure nothing changes.
-    Returns ``(changed_row or -1, recirculated)``.
+    Returns whether the packet recirculated (replaced an entry).
     """
     depth = key_ids.shape[0]
     min_row = 0
@@ -280,11 +276,11 @@ def precision_apply(
         held = int(key_ids[row, cell])
         if held == item_id:
             counts[row, cell] += value
-            return -1, False
+            return False
         if held == EMPTY_ID:
             key_ids[row, cell] = item_id
             counts[row, cell] = value
-            return row, False
+            return False
         reading = int(counts[row, cell])
         if min_count < 0 or reading < min_count:
             min_row = row
@@ -293,8 +289,8 @@ def precision_apply(
         cell = cells[min_row]
         key_ids[min_row, cell] = item_id
         counts[min_row, cell] = min_count + value
-        return min_row, True
-    return -1, False
+        return True
+    return False
 
 
 def hashpipe_stage1_apply(
@@ -303,21 +299,21 @@ def hashpipe_stage1_apply(
     cell: int,
     item_id: int,
     value: int,
-) -> tuple[tuple[int, int] | None, bool]:
+) -> tuple[int, int] | None:
     """HashPipe's always-install first stage at one cell.
 
     A match adds in place; otherwise the arriving key is installed
     unconditionally and the previous occupant (if any) is carried into the
-    eviction walk.  Returns ``(carried (id, count) or None, key_changed)``.
+    eviction walk.  Returns the carried ``(id, count)`` or ``None``.
     """
     held = int(key_ids_row[cell])
     if held == item_id:
         counts_row[cell] += value
-        return None, False
+        return None
     carried = None if held == EMPTY_ID else (held, int(counts_row[cell]))
     key_ids_row[cell] = item_id
     counts_row[cell] = value
-    return carried, True
+    return carried
 
 
 def hashpipe_token_apply(
@@ -326,28 +322,28 @@ def hashpipe_token_apply(
     cell: int,
     token_id: int,
     token_count: int,
-) -> tuple[tuple[int, int] | None, bool]:
+) -> tuple[int, int] | None:
     """One carried key visiting one walk-stage cell (HashPipe stages 2..d).
 
     A match merges the carried count; an empty cell settles it; a smaller
     incumbent is swapped out and carried onward; a larger-or-equal
-    incumbent passes the token through unchanged.  Returns ``(carry
-    (id, count) or None, key_changed)``.
+    incumbent passes the token through unchanged.  Returns the onward
+    carry ``(id, count)`` or ``None``.
     """
     held = int(key_ids_row[cell])
     if held == token_id:
         counts_row[cell] += token_count
-        return None, False
+        return None
     if held == EMPTY_ID:
         key_ids_row[cell] = token_id
         counts_row[cell] = token_count
-        return None, True
+        return None
     incumbent_count = int(counts_row[cell])
     if incumbent_count < token_count:
         key_ids_row[cell] = token_id
         counts_row[cell] = token_count
-        return (held, incumbent_count), True
-    return (token_id, token_count), False
+        return held, incumbent_count
+    return token_id, token_count
 
 
 def hashpipe_apply(
@@ -356,35 +352,28 @@ def hashpipe_apply(
     stage_cells: np.ndarray,
     item_id: int,
     value: int,
-) -> tuple[list[tuple[int, int]], int]:
+) -> int:
     """One full HashPipe arrival: stage 1 plus the eviction walk.
 
     ``stage_cells[row, id]`` is the pre-computed cell of every interned key
-    at every stage.  Returns ``(changed (row, cell) pairs, walk_stages)``
-    where ``walk_stages`` counts the stages 2..d the carried key actually
-    entered (the walk stages are contiguous, so the caller can charge one
-    hash call to each).
+    at every stage.  Returns the number of stages 2..d the carried key
+    actually entered (the walk stages are contiguous, so the caller can
+    charge one hash call to each).
     """
-    changed: list[tuple[int, int]] = []
-    cell = int(stage_cells[0, item_id])
-    carried, key_changed = hashpipe_stage1_apply(
-        key_ids[0], counts[0], cell, item_id, value
+    carried = hashpipe_stage1_apply(
+        key_ids[0], counts[0], int(stage_cells[0, item_id]), item_id, value
     )
-    if key_changed:
-        changed.append((0, cell))
     walk_stages = 0
     if carried is not None:
         token_id, token_count = carried
         depth = key_ids.shape[0]
         for row in range(1, depth):
             walk_stages += 1
-            cell = int(stage_cells[row, token_id])
-            carry, key_changed = hashpipe_token_apply(
-                key_ids[row], counts[row], cell, token_id, token_count
+            carry = hashpipe_token_apply(
+                key_ids[row], counts[row], int(stage_cells[row, token_id]),
+                token_id, token_count,
             )
-            if key_changed:
-                changed.append((row, cell))
             if carry is None:
                 break
             token_id, token_count = carry
-    return changed, walk_stages
+    return walk_stages

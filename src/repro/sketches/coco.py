@@ -7,7 +7,7 @@ keeps the per-key estimate unbiased while using a single counter per bucket.
 The paper uses ``d = 2`` arrays as recommended by the original authors.
 
 The state is struct-of-arrays (``int64`` counters plus interned key ids,
-with the key objects mirrored for scalar queries), and both datapaths run
+the only record of each slot's key), and both datapaths run
 through the shared kernel transitions (:mod:`repro.kernels`): the scalar
 ``insert`` applies :func:`repro.kernels.scalar.coco_apply` per item, while
 ``insert_batch`` dispatches the whole chunk to the bound update-kernel
@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.hashing import EncodedKeyBatch, HashFamily
-from repro.hashing.families import keys_from_arrays, keys_to_arrays
 from repro.kernels import resolve_backend
 from repro.kernels.interning import KeyInterner
 from repro.kernels.scalar import EMPTY_ID, coco_apply
@@ -43,8 +42,8 @@ class CocoSketch(Sketch):
     seed:
         Seeds both the hash family and the replacement draws, so runs are
         reproducible.
-    max_interned_keys / interner_eviction:
-        Bound (and optionally LRU-recycle) the key-interner id space; see
+    max_interned_keys:
+        Bound the key-interner id space; see
         :class:`repro.kernels.interning.KeyInterner`.
     """
 
@@ -57,7 +56,6 @@ class CocoSketch(Sketch):
         depth: int = 2,
         seed: int = 0,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -68,20 +66,11 @@ class CocoSketch(Sketch):
         self._hashes = self._family.draw_many(depth, self.width)
         self._key_ids = np.full((depth, self.width), EMPTY_ID, dtype=np.int64)
         self._counts = np.zeros((depth, self.width), dtype=np.int64)
-        self._keys: list[list[object | None]] = [
-            [None] * self.width for _ in range(depth)
-        ]
         self._kernel = resolve_backend()
         self.max_interned_keys = max_interned_keys
-        self.interner_eviction = interner_eviction
-        self._interner = self._new_interner()
+        self._interner = KeyInterner(max_keys=max_interned_keys)
         self._rng_seed = seed
         self._draws = 0
-
-    def _new_interner(self) -> KeyInterner:
-        return KeyInterner(
-            max_keys=self.max_interned_keys, evict=self.interner_eviction
-        )
 
     # ------------------------------------------------------------- inserts
     def insert(self, key: object, value: int = 1) -> None:
@@ -93,12 +82,10 @@ class CocoSketch(Sketch):
         item_id = self._interner.intern(key)
         position = self._draws
         self._draws += 1
-        row = coco_apply(
+        coco_apply(
             self._key_ids, self._counts, cells, item_id, value,
             self._rng_seed, position,
         )
-        if row >= 0:
-            self._keys[row][cells[row]] = key
 
     def insert_batch(
         self, keys: Sequence[object], values: Sequence[int] | int | None = None
@@ -113,29 +100,18 @@ class CocoSketch(Sketch):
             self._draws, self._draws + len(batch), dtype=np.int64
         )
         self._draws += len(batch)
-        rows, cells = self._kernel.coco_update(
+        self._kernel.coco_update(
             self._key_ids, self._counts, indexes, item_ids, value_array,
             positions, self._rng_seed,
         )
-        self._sync_changed(rows, cells)
-
-    def _sync_changed(self, rows: np.ndarray, cells: np.ndarray) -> None:
-        """Re-sync the object-key mirror at every (row, cell) the kernel changed."""
-        if not rows.size:
-            return
-        id_to_key = self._interner.id_to_key
-        key_table = self._keys
-        rows_u, cells_u = np.divmod(np.unique(rows * self.width + cells), self.width)
-        ids = self._key_ids[rows_u, cells_u].tolist()
-        for row, cell, item_id in zip(rows_u.tolist(), cells_u.tolist(), ids):
-            key_table[row][cell] = id_to_key[item_id]
 
     # ------------------------------------------------------------- queries
     def query(self, key: object) -> int:
         cells = [hash_fn(key) for hash_fn in self._hashes]
+        item_id = self._interner.lookup(key)
         for row, cell in enumerate(cells):
-            if self._keys[row][cell] == key:
-                return int(self._counts[row, cell])
+            if self._key_ids.item(row, cell) == item_id:
+                return self._counts.item(row, cell)
         return 0
 
     def query_batch(self, keys: Sequence[object]) -> np.ndarray:
@@ -153,8 +129,7 @@ class CocoSketch(Sketch):
 
     # ----------------------------------------------------------- snapshots
     def state_snapshot(self) -> dict[str, np.ndarray]:
-        resident = [key for row_keys in self._keys for key in row_keys]
-        arrays = keys_to_arrays(resident)
+        arrays = self._interner.slot_key_arrays(self._key_ids.ravel())
         return {
             "counts": self._counts.copy(),
             "key_tags": arrays["tags"],
@@ -172,22 +147,11 @@ class CocoSketch(Sketch):
         draws = self._check_snapshot_shape(state, "draws", (1,)).astype(np.int64)
         if "key_blob" not in state:
             raise ValueError("snapshot is missing the 'key_blob' array")
-        resident = keys_from_arrays(tags, lengths, state["key_blob"])
-        interner = self._new_interner()
-        key_ids = np.full(shape, EMPTY_ID, dtype=np.int64)
-        key_table: list[list[object | None]] = [
-            [None] * self.width for _ in range(self.depth)
-        ]
-        for row in range(self.depth):
-            row_keys = key_table[row]
-            for cell in range(self.width):
-                key = resident[row * self.width + cell]
-                if key is not None:
-                    key_ids[row, cell] = interner.intern(key)
-                    row_keys[cell] = key
-        self._counts = counts.copy()
-        self._key_ids = key_ids
-        self._keys = key_table
+        interner, slot_ids = KeyInterner.from_slot_arrays(
+            [(tags, lengths, state["key_blob"])], max_keys=self.max_interned_keys
+        )
+        self._counts = counts
+        self._key_ids = slot_ids.reshape(shape)
         self._interner = interner
         self._draws = int(draws[0])
 

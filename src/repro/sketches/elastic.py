@@ -7,8 +7,7 @@ reset on replacement, so it cannot bound the error (§7 of the paper).
 Structure:
 
 * **Heavy part** — struct-of-arrays election buckets, each holding a
-  candidate key (as an interned ``int64`` id plus the object for queries),
-  its positive votes, a negative-vote counter and an "ejected" flag.  When
+  candidate key (as an interned ``int64`` id), its positive votes, a negative-vote counter and an "ejected" flag.  When
   ``negative / positive`` exceeds the eviction ratio ``λ`` (8 in the
   original paper), the candidate is evicted to the light part and replaced.
 * **Light part** — a single-array CM sketch of 8-bit counters.
@@ -60,7 +59,6 @@ class ElasticSketch(Sketch):
         eviction_ratio: int = 8,
         seed: int = 0,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> None:
         if light_ratio <= 0:
             raise ValueError("light_ratio must be positive")
@@ -74,18 +72,15 @@ class ElasticSketch(Sketch):
         self._family = HashFamily(seed)
         self._heavy_hash = self._family.draw(self.heavy_width)
         self._light_hash = self._family.draw(self.light_width)
-        # Heavy part, struct-of-arrays: object keys for scalar queries plus
-        # the interned id mirror the kernels and batch queries compare.
-        self._heavy_keys: list[object | None] = [None] * self.heavy_width
+        # Heavy part, struct-of-arrays: interned key ids (the only record of
+        # each bucket's candidate key) and the vote counters.
         self._heavy_ids = np.full(self.heavy_width, EMPTY_ID, dtype=np.int64)
         self._heavy_positive = np.zeros(self.heavy_width, dtype=np.int64)
         self._heavy_negative = np.zeros(self.heavy_width, dtype=np.int64)
         self._heavy_flags = np.zeros(self.heavy_width, dtype=bool)
         self._light = np.zeros(self.light_width, dtype=np.int64)
         self._kernel = resolve_backend()
-        self._interner = KeyInterner(
-            max_keys=max_interned_keys, evict=interner_eviction
-        )
+        self._interner = KeyInterner(max_keys=max_interned_keys)
 
     # ------------------------------------------------------------- inserts
     def _light_insert(self, key: object, value: int) -> None:
@@ -104,16 +99,14 @@ class ElasticSketch(Sketch):
 
         The transition itself (:func:`repro.kernels.scalar.elastic_apply`)
         is shared with the update kernels, so the scalar and batch paths
-        cannot drift apart; this wrapper adds interning, the object-key
-        sync and the light-part side effects.
+        cannot drift apart; this wrapper adds interning and the light-part
+        side effects.
         """
         item_id = self._interner.intern(key)
-        light_self, evicted, changed = elastic_apply(
+        light_self, evicted = elastic_apply(
             self._heavy_ids, self._heavy_positive, self._heavy_negative,
             self._heavy_flags, heavy_index, item_id, value, self.eviction_ratio,
         )
-        if changed:
-            self._heavy_keys[heavy_index] = key
         if evicted is not None:
             # Evict the incumbent to the light part.
             self._light_insert(self._interner.id_to_key[evicted[0]], evicted[1])
@@ -127,17 +120,11 @@ class ElasticSketch(Sketch):
             return
         heavy_indexes = self._heavy_hash.index_batch(batch)
         item_ids = self._interner.intern_batch(batch.keys, batch.int_key_array)
-        light_positions, evicted_ids, evicted_values, changed = self._kernel.elastic_update(
+        light_positions, evicted_ids, evicted_values = self._kernel.elastic_update(
             self._heavy_ids, self._heavy_positive, self._heavy_negative,
             self._heavy_flags, self.eviction_ratio,
             heavy_indexes, item_ids, value_array,
         )
-        if changed.size:
-            heavy_keys = self._heavy_keys
-            heavy_ids = self._heavy_ids
-            id_to_key = self._interner.id_to_key
-            for bucket in changed.tolist():
-                heavy_keys[bucket] = id_to_key[heavy_ids[bucket]]
         if light_positions.size:
             # One vectorized light-hash call for the items the replay routed
             # to the light part (one scalar call each on the scalar path);
@@ -157,7 +144,7 @@ class ElasticSketch(Sketch):
         return self._query_at(key, self._heavy_hash(key))
 
     def _query_at(self, key: object, heavy_index: int) -> int:
-        if self._heavy_keys[heavy_index] == key:
+        if self._heavy_ids.item(heavy_index) == self._interner.lookup(key):
             estimate = int(self._heavy_positive[heavy_index])
             if self._heavy_flags[heavy_index]:
                 estimate += self._light_query(key)

@@ -11,7 +11,7 @@ cost of a small admission delay for emerging heavy hitters.
 The paper uses ``d = 3`` stages for best performance.
 
 The state is struct-of-arrays (``int64`` counters plus interned key ids,
-with the key objects mirrored for scalar queries), and both datapaths run
+the only record of each slot's key), and both datapaths run
 through the shared kernel transitions (:mod:`repro.kernels`).  Admission
 draws come from the counter-based RNG keyed on ``(seed, stream position)``,
 so scalar, batched and kernel-backend runs are bit-identical for any
@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.hashing import EncodedKeyBatch, HashFamily
-from repro.hashing.families import keys_from_arrays, keys_to_arrays
 from repro.kernels import resolve_backend
 from repro.kernels.interning import KeyInterner
 from repro.kernels.scalar import EMPTY_ID, precision_apply
@@ -49,7 +48,6 @@ class Precision(Sketch):
         depth: int = 3,
         seed: int = 0,
         max_interned_keys: int | None = None,
-        interner_eviction: str | None = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -60,22 +58,13 @@ class Precision(Sketch):
         self._hashes = self._family.draw_many(depth, self.width)
         self._key_ids = np.full((depth, self.width), EMPTY_ID, dtype=np.int64)
         self._counts = np.zeros((depth, self.width), dtype=np.int64)
-        self._keys: list[list[object | None]] = [
-            [None] * self.width for _ in range(depth)
-        ]
         self._kernel = resolve_backend()
         self.max_interned_keys = max_interned_keys
-        self.interner_eviction = interner_eviction
-        self._interner = self._new_interner()
+        self._interner = KeyInterner(max_keys=max_interned_keys)
         self._rng_seed = seed
         self._draws = 0
         #: Number of simulated recirculations (entry replacements).
         self.recirculations = 0
-
-    def _new_interner(self) -> KeyInterner:
-        return KeyInterner(
-            max_keys=self.max_interned_keys, evict=self.interner_eviction
-        )
 
     # ------------------------------------------------------------- inserts
     def insert(self, key: object, value: int = 1) -> None:
@@ -87,14 +76,11 @@ class Precision(Sketch):
         item_id = self._interner.intern(key)
         position = self._draws
         self._draws += 1
-        row, recirculated = precision_apply(
+        if precision_apply(
             self._key_ids, self._counts, cells, item_id, value,
             self._rng_seed, position,
-        )
-        if recirculated:
+        ):
             self.recirculations += 1
-        if row >= 0:
-            self._keys[row][cells[row]] = key
 
     def insert_batch(
         self, keys: Sequence[object], values: Sequence[int] | int | None = None
@@ -109,30 +95,18 @@ class Precision(Sketch):
             self._draws, self._draws + len(batch), dtype=np.int64
         )
         self._draws += len(batch)
-        rows, cells, recirculations = self._kernel.precision_update(
+        self.recirculations += int(self._kernel.precision_update(
             self._key_ids, self._counts, indexes, item_ids, value_array,
             positions, self._rng_seed,
-        )
-        self.recirculations += int(recirculations)
-        self._sync_changed(rows, cells)
-
-    def _sync_changed(self, rows: np.ndarray, cells: np.ndarray) -> None:
-        """Re-sync the object-key mirror at every (row, cell) the kernel changed."""
-        if not rows.size:
-            return
-        id_to_key = self._interner.id_to_key
-        key_table = self._keys
-        rows_u, cells_u = np.divmod(np.unique(rows * self.width + cells), self.width)
-        ids = self._key_ids[rows_u, cells_u].tolist()
-        for row, cell, item_id in zip(rows_u.tolist(), cells_u.tolist(), ids):
-            key_table[row][cell] = id_to_key[item_id]
+        ))
 
     # ------------------------------------------------------------- queries
     def query(self, key: object) -> int:
         cells = [hash_fn(key) for hash_fn in self._hashes]
+        item_id = self._interner.lookup(key)
         for row, cell in enumerate(cells):
-            if self._keys[row][cell] == key:
-                return int(self._counts[row, cell])
+            if self._key_ids.item(row, cell) == item_id:
+                return self._counts.item(row, cell)
         return 0
 
     def query_batch(self, keys: Sequence[object]) -> np.ndarray:
@@ -150,8 +124,7 @@ class Precision(Sketch):
 
     # ----------------------------------------------------------- snapshots
     def state_snapshot(self) -> dict[str, np.ndarray]:
-        resident = [key for row_keys in self._keys for key in row_keys]
-        arrays = keys_to_arrays(resident)
+        arrays = self._interner.slot_key_arrays(self._key_ids.ravel())
         return {
             "counts": self._counts.copy(),
             "key_tags": arrays["tags"],
@@ -173,22 +146,11 @@ class Precision(Sketch):
         ).astype(np.int64)
         if "key_blob" not in state:
             raise ValueError("snapshot is missing the 'key_blob' array")
-        resident = keys_from_arrays(tags, lengths, state["key_blob"])
-        interner = self._new_interner()
-        key_ids = np.full(shape, EMPTY_ID, dtype=np.int64)
-        key_table: list[list[object | None]] = [
-            [None] * self.width for _ in range(self.depth)
-        ]
-        for row in range(self.depth):
-            row_keys = key_table[row]
-            for cell in range(self.width):
-                key = resident[row * self.width + cell]
-                if key is not None:
-                    key_ids[row, cell] = interner.intern(key)
-                    row_keys[cell] = key
-        self._counts = counts.copy()
-        self._key_ids = key_ids
-        self._keys = key_table
+        interner, slot_ids = KeyInterner.from_slot_arrays(
+            [(tags, lengths, state["key_blob"])], max_keys=self.max_interned_keys
+        )
+        self._counts = counts
+        self._key_ids = slot_ids.reshape(shape)
         self._interner = interner
         self._draws = int(draws[0])
         self.recirculations = int(recirculations[0])

@@ -16,6 +16,7 @@ from repro.core import ReliableSketch
 from repro.distributed.ingest import run_dynamic_ingest
 from repro.distributed.wire import decode_state, encode_state
 from repro.hashing.families import _keys_from_arrays_per_key, _keys_to_arrays_per_key
+from repro.kernels import EMPTY_ID
 from repro.kernels.interning import KeyInterner
 from repro.sketches.base import UnmergeableSketchError
 from repro.sketches.registry import build_sketch
@@ -121,9 +122,7 @@ def test_restore_into_bounded_sketch_is_atomic():
     from repro.kernels import KeyInternerOverflowError
 
     donor, stream = filled()
-    occupied = sum(
-        1 for layer in donor._layers for key in layer.keys if key is not None
-    )
+    occupied = sum(layer.occupied_count() for layer in donor._layers)
     bounded = build_sketch("Ours", MEMORY, seed=0, max_interned_keys=max(1, occupied // 2))
     bounded.insert_batch(list(range(5)))
     expected = bounded.query_batch(list(range(5))).copy()
@@ -225,18 +224,22 @@ def per_key_restore(state, depth, **bounds):
 
 @pytest.mark.parametrize("name", ("Ours", "Coco", "HashPipe", "PRECISION"))
 def test_snapshot_bytes_equal_the_per_key_codec(name, monkeypatch):
-    """A fixed stream's snapshot file is byte-identical on both codec paths."""
-    import repro.core.reliable_sketch as reliable_module
-    import repro.sketches.coco as coco_module
-    import repro.sketches.hashpipe as hashpipe_module
-    import repro.sketches.precision as precision_module
+    """A fixed stream's snapshot file is byte-identical on both codec paths.
+
+    The reference resolves every slot's id to its key (``None`` for empty
+    slots) and encodes the whole slot list key by key.
+    """
+    def per_key_slot_arrays(interner, slot_ids):
+        return _keys_to_arrays_per_key([
+            None if item_id == EMPTY_ID else interner.id_to_key[item_id]
+            for item_id in slot_ids.tolist()
+        ])
 
     sketch = build_sketch(name, MEMORY, seed=3)
     keys = (zipf_stream(6000, skew=1.1, universe=4000, seed=9).keys())
     sketch.insert_batch([(key * 2654435761) % 2**31 for key in keys])
     fast = encode_snapshot_file(sketch.state_snapshot(), name)
-    for module in (reliable_module, coco_module, hashpipe_module, precision_module):
-        monkeypatch.setattr(module, "keys_to_arrays", _keys_to_arrays_per_key)
+    monkeypatch.setattr(KeyInterner, "slot_key_arrays", per_key_slot_arrays)
     assert encode_snapshot_file(sketch.state_snapshot(), name) == fast
 
 
@@ -253,32 +256,23 @@ def test_restored_replica_builds_no_id_table():
 
 
 @pytest.mark.parametrize(
-    "bounds",
-    ({}, {"max_keys": 4000}, {"max_keys": 4000, "evict": "lru"},
-     {"max_keys": 64, "evict": "lru"}),
-    ids=("unbounded", "bounded", "lru", "lru-evicting"),
+    "bounds", ({}, {"max_keys": 4000}), ids=("unbounded", "bounded"),
 )
 def test_restore_interns_like_the_per_key_loop(bounds):
-    """Same ids, same touch clock as interning candidates one by one."""
+    """Same ids as interning candidates one by one."""
     donor, stream = filled()
     state = donor.state_snapshot()
     replica = build_sketch(
-        "Ours", MEMORY, seed=0,
-        max_interned_keys=bounds.get("max_keys"),
-        interner_eviction=bounds.get("evict"),
+        "Ours", MEMORY, seed=0, max_interned_keys=bounds.get("max_keys"),
     )
     replica.state_restore(state)
     expected, layer_ids = per_key_restore(state, donor.depth, **bounds)
     restored = replica._interner
     assert restored.id_to_key == expected.id_to_key
     assert restored._ids == expected._ids
-    assert restored._touch_clock == expected._touch_clock
-    if expected._last_touch is not None:
-        assert restored._last_touch.tolist() == expected._last_touch.tolist()
     assert [layer.key_ids.tolist() for layer in replica._layers] == layer_ids
-    if bounds.get("max_keys") != 64:
-        keys = stream.keys()
-        assert (replica.query_batch(keys) == donor.query_batch(keys)).all()
+    keys = stream.keys()
+    assert (replica.query_batch(keys) == donor.query_batch(keys)).all()
 
 
 # ------------------------------------------------------- copy-into-peer path
@@ -367,7 +361,10 @@ def test_copied_replica_interns_only_its_candidates(kind):
     replica = build_sketch("Ours", MEMORY, seed=0)
     donor.copy_state_into(replica)
     candidates = {
-        key for layer in donor._layers for key in layer.keys if key is not None
+        donor._interner.id_to_key[item_id]
+        for layer in donor._layers
+        for item_id in layer.key_ids.tolist()
+        if item_id != EMPTY_ID
     }
     assert len(replica._interner) == len(candidates) < len(donor._interner)
     assert replica._interner._table is None
@@ -384,23 +381,6 @@ def test_copied_replica_shares_no_state():
     calls = donor.hash_calls()
     assert answers(replica, probe) == before
     assert donor.hash_calls() == calls
-
-
-@pytest.mark.parametrize("max_keys", (4000, 64), ids=("lru", "lru-evicting"))
-def test_lru_copy_falls_back_to_snapshot_restore(max_keys):
-    """A recycling interner takes the snapshot + restore path, answer for answer."""
-    build = lambda: build_sketch(  # noqa: E731
-        "Ours", MEMORY, seed=0, max_interned_keys=max_keys, interner_eviction="lru"
-    )
-    donor = build()
-    donor.insert_stream(zipf_stream(8000, skew=1.2, universe=1500, seed=5), batch_size=512)
-    copied, restored = build(), build()
-    donor.copy_state_into(copied)
-    restored.state_restore(donor.state_snapshot())
-    assert copied._interner.id_to_key == restored._interner.id_to_key
-    assert copied._interner._last_touch.tolist() == restored._interner._last_touch.tolist()
-    probe = list(range(1600)) + ["absent"]
-    assert observed(copied, probe) == observed(restored, probe)
 
 
 def test_copy_validates_geometry_before_writing():

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hashing import EncodedKeyBatch
+from repro.hashing.families import keys_to_arrays
+from repro.kernels import EMPTY_ID, UNKNOWN_ID
 from repro.kernels.interning import KeyInterner, KeyInternerOverflowError
+from repro.sketches.hashpipe import HashPipe
 from repro.sketches.registry import build_sketch
 
 
@@ -80,81 +83,6 @@ def test_bounded_sketch_keeps_answering_after_overflow():
     # interned state is intact: known keys answer exactly as before (the
     # overflow fired during interning, before any table mutation)
     assert (sketch.query_batch(list(range(60))) == before).all()
-
-
-# ------------------------------------------------------------------ LRU mode
-def test_lru_requires_max_keys_and_known_policy():
-    with pytest.raises(ValueError):
-        KeyInterner(evict="lru")
-    with pytest.raises(ValueError):
-        KeyInterner(max_keys=4, evict="fifo")
-
-
-def test_lru_recycles_least_recently_interned_id():
-    interner = KeyInterner(max_keys=3, evict="lru")
-    assert [interner.intern(key) for key in ("a", "b", "c")] == [0, 1, 2]
-    # "a" is the stalest; the fourth key takes its id.
-    assert interner.intern("d") == 0
-    assert interner.id_to_key[0] == "d"
-    assert "a" not in interner._ids
-    assert len(interner) == 3
-    # Re-interning "a" now evicts "b" (the new stalest).
-    assert interner.intern("a") == 1
-    assert "b" not in interner._ids
-
-
-def test_lru_recency_advances_on_intern():
-    interner = KeyInterner(max_keys=3, evict="lru")
-    for key in ("a", "b", "c"):
-        interner.intern(key)
-    interner.intern("a")  # refresh: "b" becomes the eviction victim
-    assert interner.intern("d") == 1
-    assert "b" not in interner._ids
-    assert interner._ids["a"] == 0
-
-
-def test_lru_table_entry_cleared_on_eviction():
-    interner = KeyInterner(max_keys=2, evict="lru")
-    interner.intern_batch([5, 6], np.asarray([5, 6], dtype=np.int64))
-    interner.intern(7)  # evicts 5 from dict AND the vectorized table
-    ids = interner.lookup_batch([5, 6, 7], np.asarray([5, 6, 7], dtype=np.int64))
-    assert ids[0] < 0  # evicted key is unknown again
-    assert ids[1].item() == 1
-    assert ids[2].item() == 0  # recycled id
-
-
-def test_lru_batch_touches_at_batch_granularity():
-    interner = KeyInterner(max_keys=4, evict="lru")
-    interner.intern_batch([0, 1], np.asarray([0, 1], dtype=np.int64))
-    interner.intern_batch([2, 3], np.asarray([2, 3], dtype=np.int64))
-    # Both ids of the first batch share one clock tick; np.argmin breaks the
-    # tie at the lowest id, so key 0 is evicted first, then key 1.
-    assert interner.intern("x") == 0
-    assert interner.intern("y") == 1
-    assert 2 in interner._ids and 3 in interner._ids
-
-
-def test_lru_on_assign_refires_on_reassignment():
-    assignments = []
-    interner = KeyInterner(max_keys=2, evict="lru")
-    interner.on_assign = lambda key, item_id: assignments.append((key, item_id))
-    interner.intern("a")
-    interner.intern("b")
-    interner.intern("c")  # recycles id 0
-    assert assignments == [("a", 0), ("b", 1), ("c", 0)]
-
-
-@pytest.mark.parametrize("name", ("Ours", "Coco", "HashPipe", "PRECISION"))
-def test_sketch_level_lru_ingests_beyond_the_bound(name):
-    # With eviction enabled the same hostile ingest that overflows a bounded
-    # interner completes, and the interner never exceeds its bound.
-    sketch = build_sketch(
-        name, 16 * 1024, seed=0, max_interned_keys=50, interner_eviction="lru"
-    )
-    sketch.insert_batch(list(range(500)))
-    assert len(sketch._interner) <= 50
-    # Recently interned keys still answer through the batch path.
-    assert sketch.query_batch(list(range(450, 500))).shape == (50,)
 
 
 # ------------------------------------------------------------ bulk interning
@@ -236,15 +164,76 @@ def test_intern_many_never_allocates_the_table():
     assert interner._table is None
 
 
-@pytest.mark.parametrize("bound, evict", ((4, None), (3, "lru")))
-def test_intern_many_keeps_the_scalar_loop_on_bounded_interners(bound, evict):
+def test_intern_many_keeps_the_scalar_loop_on_bounded_interners():
     keys = [10, 11, 10, 12, 13, 11]
-    loop, many = KeyInterner(bound, evict), KeyInterner(bound, evict)
+    loop, many = KeyInterner(4), KeyInterner(4)
     expected = [loop.intern(key) for key in keys]
     assert many.intern_many(keys).tolist() == expected
     assert many._ids == loop._ids and many.id_to_key == loop.id_to_key
-    if evict:
-        assert many._touch_clock == loop._touch_clock
-        assert many._last_touch.tolist() == loop._last_touch.tolist()
     with pytest.raises(KeyInternerOverflowError):
         KeyInterner(2).intern_many([1, 2, 3])
+
+
+# ------------------------------------------------------- ids as the key record
+def test_lookup_never_assigns():
+    interner = KeyInterner()
+    interner.intern_batch(["a", 5])
+    assert (interner.lookup("a"), interner.lookup(5)) == (0, 1)
+    assert interner.lookup("b") == UNKNOWN_ID
+    assert len(interner) == 2
+
+
+@pytest.mark.parametrize("keys", (
+    ["x", 7, b"raw", 2**70, -3],  # mixed types: the codec's per-key path
+    [12, 7, 2**40, 9, -3],  # plain ints: straight to the int codec
+    [12, 7, 2**70, 9, -3],  # beyond int64: back to the per-key path
+    [12, 7, -(2**63), 9, -3],  # -2^63 has no int64 code either
+))
+def test_slot_keys_round_trip_through_the_codec(keys):
+    """Occupied slots encode exactly as the full slot list; restore re-interns them."""
+    interner = KeyInterner()
+    interner.intern_many(keys)
+    slot_ids = np.asarray([EMPTY_ID, 1, 0, EMPTY_ID, 3, 1, 2, 4], dtype=np.int64)
+    slots = [None if item_id == EMPTY_ID else keys[item_id] for item_id in slot_ids.tolist()]
+    arrays = interner.slot_key_arrays(slot_ids)
+    expected = keys_to_arrays(slots)
+    for name in ("tags", "lengths", "blob"):
+        assert arrays[name].dtype == expected[name].dtype, name
+        assert arrays[name].tobytes() == expected[name].tobytes(), name
+    split = 3
+    restored, restored_ids = KeyInterner.from_slot_arrays([
+        (arrays["tags"][:split], arrays["lengths"][:split],
+         arrays["blob"][: int(arrays["lengths"][:split].sum())]),
+        (arrays["tags"][split:], arrays["lengths"][split:],
+         arrays["blob"][int(arrays["lengths"][:split].sum()):]),
+    ])
+    assert restored.id_to_key == list(dict.fromkeys(key for key in slots if key is not None))
+    assert [
+        None if item_id == EMPTY_ID else restored.id_to_key[item_id]
+        for item_id in restored_ids.tolist()
+    ] == slots
+    assert restored._table is None
+    with pytest.raises(KeyInternerOverflowError):
+        KeyInterner.from_slot_arrays(
+            [(arrays["tags"], arrays["lengths"], arrays["blob"])], max_keys=4
+        )
+    with pytest.raises(ValueError):
+        KeyInterner.from_slot_arrays(
+            [(arrays["tags"], arrays["lengths"], arrays["blob"][:-1])]
+        )
+
+
+def test_hashpipe_caches_the_keys_a_failed_batch_interned():
+    """Ids assigned before an overflow get their stage cells on the next insert."""
+    sketch = HashPipe(2048, seed=0, max_interned_keys=8)
+    with pytest.raises(KeyInternerOverflowError):
+        sketch.insert_batch(list(range(10)))
+    assert len(sketch._interner) == 8
+    reference = HashPipe(2048, seed=0)
+    sketch.insert(3, 2)
+    reference.insert(3, 2)
+    sketch.insert_batch(list(range(8)))
+    reference.insert_batch(list(range(8)))
+    keys = list(range(10))
+    assert sketch.query_batch(keys).tolist() == reference.query_batch(keys).tolist()
+    assert [sketch.query(key) for key in keys] == reference.query_batch(keys).tolist()
