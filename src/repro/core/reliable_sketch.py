@@ -394,8 +394,9 @@ class ReliableSketch(Sketch):
         the reversible key codec (:meth:`KeyInterner.slot_key_arrays` — type
         tags, encoded lengths and one byte blob), so arbitrary
         ``int``/``str``/``bytes`` keys survive the array-only snapshot
-        contract and the distributed wire format unchanged.  ``filter_tables`` carries the mice-filter
-        counters, ``settled``/``stats`` the failure and operation accounting.
+        contract and the distributed wire format unchanged.
+        ``filter_tables`` carries the mice-filter counters,
+        ``settled``/``stats`` the failure and operation accounting.
         Hash-call counters are measurement state, not sketch state, and are
         deliberately excluded (exactly as for CM/CU/Count).
 
@@ -488,10 +489,13 @@ class ReliableSketch(Sketch):
         ids renumbered to match (:meth:`KeyInterner.compact`): no key codec,
         no per-key interning.  ``peer`` then answers, and keeps ingesting,
         exactly as a ``state_restore(state_snapshot())`` replica does.
-        Geometry is checked before anything is written.  An emergency store
-        on either side is refused, as snapshots refuse it.
+        Geometry is checked before anything is written.  A sketch with an
+        emergency store takes the default snapshot + restore path, which
+        refuses it.
         """
-        self._check_no_emergency("copy_state_into()")
+        if self._emergency is not None:
+            super().copy_state_into(peer)
+            return
         peer._check_no_emergency("state_restore()")
         geometry = self._geometry()
         if peer._geometry() != geometry:

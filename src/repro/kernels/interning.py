@@ -237,7 +237,8 @@ class KeyInterner:
             else:
                 tags[occupied] = KEY_TAG_INT
                 lengths[occupied] = int_lengths
-                return {"tags": tags, "lengths": lengths, "blob": pack_int_keys(int_lengths, rows)}
+                blob = pack_int_keys(int_lengths, rows)
+                return {"tags": tags, "lengths": lengths, "blob": blob}
         arrays = keys_to_arrays(keys)
         tags[occupied] = arrays["tags"]
         lengths[occupied] = arrays["lengths"]

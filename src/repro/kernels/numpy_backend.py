@@ -561,7 +561,8 @@ def elastic_update(
     evicted_ids: list[np.ndarray] = []
     evicted_values: list[np.ndarray] = []
     if count == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.intp), empty, empty.copy()
     rounds = _schedule(indexes, item_ids)
     for pos, is_tail in _round_slices(rounds, indexes):
         if is_tail:

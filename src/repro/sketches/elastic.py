@@ -7,7 +7,8 @@ reset on replacement, so it cannot bound the error (§7 of the paper).
 Structure:
 
 * **Heavy part** — struct-of-arrays election buckets, each holding a
-  candidate key (as an interned ``int64`` id), its positive votes, a negative-vote counter and an "ejected" flag.  When
+  candidate key (as an interned ``int64`` id), its positive votes, a
+  negative-vote counter and an "ejected" flag.  When
   ``negative / positive`` exceeds the eviction ratio ``λ`` (8 in the
   original paper), the candidate is evicted to the light part and replaced.
 * **Light part** — a single-array CM sketch of 8-bit counters.

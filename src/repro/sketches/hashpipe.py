@@ -18,9 +18,10 @@ walk hashes the *carried* (evicted) key — not the arriving one — the sketch
 pre-computes every interned key's cell at every stage in a
 ``(depth, capacity)`` cache.  Ids are dense and never recycled, so the keys
 not yet cached are exactly the ids at or above a watermark, and every
-insert (and a restore) hashes just those into the cache; hash-call counters are advanced exactly where the legacy per-slot
-datapath evaluated a hash (once at stage 1 per insert, once per walk stage
-entered).
+insert hashes just those into the cache (a restore resets the watermark);
+hash-call counters are advanced exactly where the legacy per-slot
+datapath evaluated a hash (once at stage 1 per insert, once per walk
+stage entered).
 """
 
 from __future__ import annotations
@@ -185,9 +186,8 @@ class HashPipe(Sketch):
         self._counts = counts
         self._key_ids = slot_ids.reshape(shape)
         self._interner = interner
-        self._stage_cells = np.zeros((self.depth, 0), dtype=np.int64)
+        # Every restored id is uncached: the next insert hashes them all.
         self._cached_ids = 0
-        self._cache_stage_cells()
 
     # -------------------------------------------------------- introspection
     def memory_bytes(self) -> float:

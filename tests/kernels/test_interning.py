@@ -223,6 +223,18 @@ def test_slot_keys_round_trip_through_the_codec(keys):
         )
 
 
+@pytest.mark.parametrize("name", ("Ours", "Elastic", "Coco", "HashPipe", "PRECISION"))
+def test_queries_never_grow_the_interner(name):
+    """Reads resolve keys without interning them, on both query paths."""
+    sketch = build_sketch(name, 16 * 1024, seed=0, max_interned_keys=50)
+    sketch.insert_batch(list(range(40)))
+    sketch.insert(1000, 2)
+    interned = len(sketch._interner)
+    unseen = list(range(5000, 5100)) + ["absent", b"absent"]
+    assert [sketch.query(key) for key in unseen] == sketch.query_batch(unseen).tolist()
+    assert len(sketch._interner) == interned
+
+
 def test_hashpipe_caches_the_keys_a_failed_batch_interned():
     """Ids assigned before an overflow get their stage cells on the next insert."""
     sketch = HashPipe(2048, seed=0, max_interned_keys=8)
