@@ -21,19 +21,18 @@ Batch-first datapath
 Layers are stored struct-of-arrays (:class:`repro.core.bucket.BucketArrayLayer`:
 interned ``int64`` key ids and NumPy ``int64`` ``YES``/``NO`` arrays), and
 the sketch exposes ``insert_batch`` / ``query_batch`` alongside the scalar
-API.  Because lock/replace decisions
-are order-dependent *within a layer*, the batch insert mirrors the hardware
-pipeline: all survivors of layer ``i`` (in stream order) are hashed for
-layer ``i+1`` in one vectorized call — keeping hash-call accounting
-identical to the scalar path — and the order-dependent bucket transitions
-of each layer are applied by a conflict-free update kernel
-(:mod:`repro.kernels`), bit-identical to replaying the survivors one by
-one.  Keys are *interned* into dense integer ids on first contact, and a
-bucket's id is the only record of its candidate key: the kernels and both
-query paths compare ids, and snapshots encode the keys the interner maps
-the occupied buckets' ids to.  ``query_batch`` retires keys as soon as
-their stopping condition (Algorithm 2) fires, exactly like the scalar
-:meth:`query_with_error`.
+API.  Because lock/replace decisions are order-dependent *within a layer*,
+the batch insert mirrors the hardware pipeline: all survivors of layer
+``i`` (in stream order) are hashed for layer ``i+1`` in one vectorized
+call — keeping hash-call accounting identical to the scalar path — and the
+order-dependent bucket transitions of each layer are applied by a
+conflict-free update kernel (:mod:`repro.kernels`), bit-identical to
+replaying the survivors one by one.  Keys are *interned* into dense
+integer ids on first contact, and a bucket's id is the only record of its
+candidate key: the kernels and both query paths compare ids, and
+snapshots encode the keys the interner maps the occupied buckets' ids to.
+``query_batch`` retires keys as soon as their stopping condition
+(Algorithm 2) fires, exactly like the scalar :meth:`query_with_error`.
 """
 
 from __future__ import annotations

@@ -2,12 +2,10 @@
 
 Each case fills one snapshotable family from a fixed, seeded stream — the
 first half through scalar ``insert``, the second through ``insert_batch`` —
-and hashes ``encode_snapshot_file(sketch.state_snapshot())``.  The digests
-below were recorded from the implementation that kept an object-key list
-beside every bucket's interned id; any change to how keys are stored,
-encoded or restored must leave these bytes exactly as they are, because
-warm restarts, epoch rings and partition handoffs read files written by
-earlier builds.
+and hashes ``encode_snapshot_file(sketch.state_snapshot())``.  Any change
+to how keys are stored, encoded or restored must leave these bytes exactly
+as they are, because warm restarts, epoch rings and partition handoffs
+read files written by earlier builds.
 """
 
 from __future__ import annotations
