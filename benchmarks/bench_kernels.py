@@ -1,4 +1,4 @@
-"""Conflict-free update kernels vs. the PR 1 per-item batch loops.
+"""Conflict-free update kernels vs. per-item insertion.
 
 Measures, for every order-dependent family ported onto the kernel
 subsystem (CU, ReliableSketch with and without the mice filter, Elastic,
@@ -16,14 +16,12 @@ before the clock starts — the chunks every real fill hands to
 ``insert_batch``.  Queries are timed the same way, on ``int64`` slices of
 the distinct keys built before the clock starts.
 
-Two baselines anchor the speedups.  The scalar reference fill is *timed*
-(``per_item_insert_ips``): it inserts one item at a time through the
-public ``insert`` path, exactly the pre-kernel datapath of the ported
+Two in-run baselines anchor the speedups.  The scalar reference fill is
+*timed* (``per_item_insert_ips``): it inserts one item at a time through
+the public ``insert`` path, exactly the pre-kernel datapath of the ported
 families, so ``speedup_vs_per_item`` measures what the batch engines buy
-over per-item replay.  The ``python-replay`` rows double as an in-run
-batch baseline (per-item kernel replay behind the batch front end), and
-the committed PR 1 numbers are read from ``BENCH_throughput.json`` so
-the JSON also records the speedup against the recorded history.
+over per-item replay.  The ``python-replay`` rows double as a batch
+baseline (per-item kernel replay behind the batch front end).
 
 Not collected by pytest (the module name avoids the ``test_`` prefix); run
 it directly::
@@ -111,19 +109,6 @@ def _bit_identical(reference, expected, insert_calls, candidate, keys) -> bool:
     return True
 
 
-def _load_pr1_baselines(path: Path) -> dict[str, float]:
-    """Committed PR 1 batch-insert ips by family (empty if unavailable)."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return {
-        row["algorithm"]: row["batch_insert_ips"]
-        for row in payload.get("results", [])
-        if "batch_insert_ips" in row
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=DEFAULT_COUNT,
@@ -135,9 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--memory-bytes", type=float, default=DEFAULT_MEMORY_BYTES,
                         help="per-sketch memory budget (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="hash seed")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_throughput.json",
-                        help="PR 1 throughput JSON for the recorded baselines")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_kernels.json",
                         help="output JSON path (default: repo root)")
@@ -156,7 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     # Measure the replay baseline first so the default backend can report
     # its speedup against it.
     backends = sorted(BACKEND_NAMES, key=lambda name: name != "python-replay")
-    pr1 = _load_pr1_baselines(args.baseline)
     print(
         f"stream: {len(items)} items, {len(keys)} distinct keys, skew {args.skew}; "
         f"backends: {', '.join(backends)}"
@@ -194,9 +175,6 @@ def main(argv: list[str] | None = None) -> int:
                 replay_ips = insert.ops_per_second
             if replay_ips:
                 row["speedup_vs_python_replay"] = insert.ops_per_second / replay_ips
-            if family in pr1:
-                row["pr1_batch_insert_ips"] = pr1[family]
-                row["speedup_vs_pr1"] = insert.ops_per_second / pr1[family]
             results.append(row)
             print(
                 f"{family:>10} {backend:>14}: insert {insert.ops_per_second:>10.0f} items/s"
@@ -221,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
         },
-        "baseline_source": str(args.baseline.name) if pr1 else None,
         "results": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

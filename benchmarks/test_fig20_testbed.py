@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 from conftest import run_once
 
-from repro.experiments.deployment import testbed_accuracy
+from repro.experiments import deployment
 from repro.metrics.memory import BYTES_PER_KB
 
 
@@ -19,7 +19,7 @@ from repro.metrics.memory import BYTES_PER_KB
 def test_fig20_testbed_accuracy(benchmark, trace_name):
     curve = run_once(
         benchmark,
-        testbed_accuracy,
+        deployment.testbed_accuracy,
         trace_name=trace_name,
         scale=0.002,
         seed=1,

@@ -841,7 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="max_tracked_keys",
                          help="serve: bound the top-k key directory to this many "
                               "heavy-hitter candidates (min-estimate pruning; "
-                              "default: unbounded)")
+                              "default: unbounded); no effect on families that "
+                              "store keys, whose interner is the directory")
     serving.add_argument("--keys", default=None, metavar="K1,K2,...",
                          help="query: comma-separated keys to estimate")
     serving.add_argument("--top-k", type=int, default=None, dest="top_k",

@@ -375,6 +375,8 @@ def decode_batch(payload: bytes) -> tuple[EncodedKeyBatch, np.ndarray]:
         values = np.frombuffer(read(8 * count), dtype="<i8").astype(np.int64)
     else:
         raise WireFormatError(f"unknown value mode {value_mode}")
+    if value_mode != _VALUES_ONES and count and int(values.min()) <= 0:
+        raise WireFormatError("non-positive batch value (every sketch rejects it)")
     if position() != len(payload):
         raise WireFormatError("trailing bytes after batch payload")
     return batch, values

@@ -297,12 +297,10 @@ class KeyInterner:
 
         Each distinct key takes the next dense id at its first occurrence —
         the ids a loop of :meth:`intern` calls hands out.  The dict and
-        ``id_to_key`` store the caller's own key objects, so other holders
-        of the batch (a service's key directory, say) share one object per
-        key instead of each keeping a copy.  The id table is written where
-        it already covers a key and never allocated here: it must stay a
-        faithful cache of the dict, because the table path treats a miss as
-        a brand-new key.
+        ``id_to_key`` store the caller's own key objects, not copies.  The
+        id table is written where it already covers a key and never
+        allocated here: it must stay a faithful cache of the dict, because
+        the table path treats a miss as a brand-new key.
         """
         new_keys = list(map(keys.__getitem__, positions.tolist()))
         fresh = list(dict.fromkeys(new_keys))

@@ -29,7 +29,7 @@ import random
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -192,39 +192,17 @@ class ServeConfig:
     sketch_kwargs: dict = field(default_factory=dict)
 
     def to_payload(self) -> bytes:
-        return encode_config(
-            {
-                "algorithm": self.algorithm,
-                "memory_bytes": self.memory_bytes,
-                "seed": self.seed,
-                "shards": self.shards,
-                "publish_every_items": self.publish_every_items,
-                "max_tracked_keys": self.max_tracked_keys,
-                "store_dir": self.store_dir,
-                "ring_epochs": self.ring_epochs,
-                "sketch_kwargs": self.sketch_kwargs,
-            }
-        )
+        return encode_config(asdict(self))
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "ServeConfig":
+        """Inverse of :meth:`to_payload`; keys it does not know are ignored."""
         config = decode_config(payload)
-        try:
-            return cls(
-                algorithm=config["algorithm"],
-                memory_bytes=config["memory_bytes"],
-                seed=config.get("seed", 0),
-                shards=config.get("shards", 1),
-                publish_every_items=config.get(
-                    "publish_every_items", DEFAULT_PUBLISH_EVERY_ITEMS
-                ),
-                max_tracked_keys=config.get("max_tracked_keys"),
-                store_dir=config.get("store_dir"),
-                ring_epochs=config.get("ring_epochs", DEFAULT_RING_EPOCHS),
-                sketch_kwargs=config.get("sketch_kwargs", {}),
-            )
-        except KeyError as missing:
-            raise WireFormatError(f"serve config is missing {missing}") from None
+        for required in ("algorithm", "memory_bytes"):
+            if required not in config:
+                raise WireFormatError(f"serve config is missing {required!r}")
+        known = {item.name for item in fields(cls)}
+        return cls(**{name: value for name, value in config.items() if name in known})
 
     def build_sketch(self) -> Sketch:
         if self.shards > 1:
@@ -245,8 +223,9 @@ class ServeConfig:
         publish then immediately re-snapshots the warm state, so the
         journal debt is repaid the moment the service is up.  Cold start
         (an empty directory) builds exactly the undurable service plus
-        journaling.  The top-k key directory does not survive a restart
-        (documented caveat — it re-fills from post-restart ingest).
+        journaling.  The top-k key directory of a family that stores keys
+        starts from the restored candidates plus the replayed journal; one
+        the service owns starts empty (``SketchService``).
 
         The recovery report's older retained snapshots — plus the recovered
         epoch itself, rebuilt as an immutable :class:`EpochSnapshot` — seed

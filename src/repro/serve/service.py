@@ -6,9 +6,9 @@
 * ``query(key)`` / ``query_batch(keys)`` — point estimates answered from
   the latest published epoch (never from the live sketch), so every answer
   is bit-identical to querying a frozen copy of the sketch at that epoch;
-* ``top_k(k)`` — the heaviest keys among those the service has ingested,
-  ranked by their epoch estimates (ties broken by first-contact order, so
-  the ranking is deterministic);
+* ``top_k(k)`` — the heaviest keys of the key directory (every key the
+  service has ingested), ranked by their epoch estimates (ties broken by
+  first-contact order, so the ranking is deterministic);
 * ``stats()`` — epoch id, items absorbed, memory, staleness and directory
   counters (the ``repro-cli query --stats`` payload);
 * ``ingest(keys, values)`` / ``flush()`` — the write side, delegated to the
@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.kernels.interning import KeyInterner
 from repro.serve.errors import EpochGoneError
 from repro.serve.snapshots import (
     DEFAULT_PUBLISH_EVERY_ITEMS,
@@ -57,25 +58,24 @@ class SketchService:
     publish_every_items / publish_every_seconds:
         Epoch rotation cadence, forwarded to the writer.
     max_tracked_keys:
-        The key directory behind :meth:`top_k` holds every distinct key
-        ingested, in first-contact order — the same deliberate
-        speed-for-memory trade as the kernel interner.  This bound turns it
-        into a heavy-hitter candidate set: when the directory overshoots
-        the bound (plus a small slack so pruning is amortized), it is
-        pruned back to the ``max_tracked_keys`` keys with the highest
-        current-epoch estimates (ties kept in first-contact order).
-        ``top_k`` then ranks *candidates*, not all keys ever seen:
-        a key pruned while light is invisible to ``top_k`` until it is
-        ingested again — see ``docs/api.md`` for the accuracy caveat.
+        Bounds a directory the service owns (:attr:`key_directory`) into a
+        heavy-hitter candidate set: past the bound (plus a small slack so
+        pruning is amortized), it is rebuilt from the ``max_tracked_keys``
+        keys with the highest current-epoch estimates (ties kept in
+        first-contact order).  ``top_k`` then ranks *candidates*: a key
+        pruned while light is invisible to ``top_k`` until it is ingested
+        again — see ``docs/api.md``.  No effect on a family that stores
+        keys, whose interner holds every key anyway.
     store:
         Optional :class:`~repro.store.SketchStore` making the epoch stream
         durable: every ingest batch is journaled **before** the in-memory
         insert and every published epoch is persisted from the publish
         hook, so a restarted service recovers bit-identical to one that
         never died.  The store must already be recovered (its journal
-        rotates on the construction-time publish).  The key directory is
-        *not* persisted — after a warm restart ``top_k`` ranks only keys
-        ingested since (documented caveat in ``docs/api.md``).
+        rotates on the construction-time publish).  After a warm restart
+        the directory of a family that stores keys holds the restored
+        candidates plus the replayed journal; one the service owns starts
+        empty (``docs/api.md``).
     start_epoch / start_items:
         Warm-restart seeding forwarded to the epoch writer (see
         :class:`~repro.serve.snapshots.EpochWriter`).
@@ -112,8 +112,8 @@ class SketchService:
         self.max_tracked_keys = max_tracked_keys
         #: Number of times the bounded directory was pruned.
         self.directory_prunes = 0
-        # First-contact-ordered key directory (dict-as-ordered-set).
-        self._keys: dict = {}
+        # Owned only where the sketch has no interner to serve as directory.
+        self._directory = KeyInterner() if sketch.key_interner is None else None
         self._factory = factory
         # Temporal state — built before the writer exists: the construction
         # publish fires _on_publish, which offers the first epoch to the ring.
@@ -147,39 +147,38 @@ class SketchService:
     # ------------------------------------------------------------ write side
     def ingest(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
         """Absorb one batch (single-writer contract, see the epoch writer)."""
+        # Validated before journaling: a journaled batch the sketch rejects
+        # would fail every later recovery.
+        Sketch._batch_values(values, len(keys))
         if self._store is not None:
             # Journal first: a batch is either durably in the WAL before it
             # can affect an answer, or (post-crash) absent from both the
             # journal and the sketch — never in one without the other in a
             # direction that loses acknowledged state.
             self._store.append_batch(keys, values)
-        # Numpy scalars (an ndarray batch) are stored as native ints:
-        # directory keys are re-queried later as a mixed python list
-        # (ranking, change detection), and the scalar key encoder only
-        # accepts native types.  The type screen runs at C speed, and so
-        # does the first-contact-ordered merge of the batch.
-        tracked = keys
-        if any(issubclass(kind, np.generic) for kind in set(map(type, keys))):
-            tracked = [key.item() if isinstance(key, np.generic) else key for key in keys]
-        self._keys.update(dict.fromkeys(tracked))
-        cap = self.max_tracked_keys
-        if cap is not None and len(self._keys) > cap + max(64, cap // 8):
-            self._prune_directory()
+        directory = self._directory
+        if directory is not None:
+            # Before the insert: listeners fired by its publish see the keys.
+            directory.intern_many(Sketch._native_keys(keys))
+            cap = self.max_tracked_keys
+            if cap is not None and len(directory) > cap + max(64, cap // 8):
+                self._prune_directory()
         self._writer.ingest(keys, values)
 
     def _prune_directory(self) -> None:
-        """Shrink the directory to the ``max_tracked_keys`` heaviest keys.
+        """Rebuild the owned directory from its ``max_tracked_keys`` heaviest keys.
 
         Ranked by current-epoch estimate (items absorbed since the last
         publish are not yet visible — a freshly ingested heavy key can be
         pruned once, and re-enters the directory on its next ingest), ties
         kept in first-contact order.
         """
-        candidates = list(self._keys)
+        candidates = self._directory.id_to_key
         estimates = self._writer.current.sketch.query_batch(candidates)
         order = np.argsort(-estimates, kind="stable")[: self.max_tracked_keys]
         # Re-sort the survivors by position to preserve first-contact order.
-        self._keys = {candidates[i]: None for i in sorted(order.tolist())}
+        self._directory = KeyInterner()
+        self._directory.intern_many([candidates[i] for i in sorted(order.tolist())])
         self.directory_prunes += 1
 
     def flush(self) -> EpochSnapshot:
@@ -214,6 +213,12 @@ class SketchService:
                     self.change_alert_errors += 1
 
     # ------------------------------------------------------------- read side
+    @property
+    def key_directory(self) -> KeyInterner:
+        """The keys :meth:`top_k` ranks: the live sketch's interner, else the service's own."""
+        directory = self._directory
+        return self._writer.live_sketch.key_interner if directory is None else directory
+
     @property
     def current_epoch(self) -> EpochSnapshot:
         """The epoch reads are currently served from."""
@@ -285,13 +290,10 @@ class SketchService:
         """
         if epoch is not None and window is not None:
             raise ValueError("serve_batch takes an epoch pin or a window, not both")
-        if epoch is not None:
-            snapshot = self.resolve_epoch(epoch)
-            return snapshot.sketch.query_batch(keys), snapshot.epoch_id
         if window is not None:
             sketch, epoch_id = self.window_sketch(window)
             return sketch.query_batch(keys), epoch_id
-        snapshot = self._writer.current
+        snapshot = self._writer.current if epoch is None else self.resolve_epoch(epoch)
         return snapshot.sketch.query_batch(keys), snapshot.epoch_id
 
     def query_batch(
@@ -332,7 +334,7 @@ class SketchService:
         if k <= 0:
             raise ValueError("k must be positive")
         snapshot = self._writer.current if epoch is None else self.resolve_epoch(epoch)
-        return self._rank_epoch(snapshot, list(self._keys), k), snapshot.epoch_id
+        return self._rank_epoch(snapshot, list(self.key_directory.id_to_key), k), snapshot.epoch_id
 
     @staticmethod
     def _rank_epoch(
@@ -379,7 +381,7 @@ class SketchService:
     def _diff_snapshots(
         self, earlier: EpochSnapshot, later: EpochSnapshot, k: int, min_delta: int
     ) -> ChangeReport:
-        candidates = list(self._keys)
+        candidates = list(self.key_directory.id_to_key)
         before = self._rank_epoch(earlier, candidates, k)
         after = self._rank_epoch(later, candidates, k)
         # Exact cross-estimates for keys ranked on only one side, so every
@@ -441,7 +443,7 @@ class SketchService:
             ),
             "max_interval_items": writer.max_interval_items,
             "memory_bytes": float(writer.live_sketch.memory_bytes()),
-            "distinct_keys_tracked": len(self._keys),
+            "distinct_keys_tracked": len(self.key_directory),
             "max_tracked_keys": self.max_tracked_keys,
             "directory_prunes": self.directory_prunes,
             "algorithm": writer.live_sketch.name,

@@ -45,6 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.kernels.interning import KeyInterner
+
 #: Default ``insert_stream`` chunk size.  Chunks amortize the per-batch
 #: encode/dispatch overhead while keeping the working set cache-resident;
 #: bit-identical to the scalar loop by the parity contract.
@@ -97,6 +99,14 @@ class Sketch(abc.ABC):
     #: order-dependent).  Snapshot support is what the distributed ingest
     #: pipeline and the serving layer (``repro.serve``) actually require.
     snapshotable: bool = False
+
+    #: Set by the families whose buckets name their key by interned id.
+    _interner: KeyInterner | None = None
+
+    @property
+    def key_interner(self) -> KeyInterner | None:
+        """The interner whose ``id_to_key`` lists this sketch's keys, or ``None`` (read-only)."""
+        return self._interner
 
     @abc.abstractmethod
     def insert(self, key: object, value: int = 1) -> None:

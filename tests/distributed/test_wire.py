@@ -111,6 +111,14 @@ def test_unsupported_key_type_rejected():
         encode_batch([1.5])
 
 
+@pytest.mark.parametrize("values", [[1, -1, 2], [5, 0, 7], [0, 0, 0], -3, 0])
+def test_non_positive_values_rejected_on_decode(values):
+    """Every sketch rejects such a value, so the decoder refuses the payload
+    (array and uniform value modes alike) instead of handing it on."""
+    with pytest.raises(WireFormatError, match="non-positive"):
+        decode_batch(encode_batch([1, 2, 3], values))
+
+
 @pytest.mark.parametrize("name", sorted(mergeable_names()))
 def test_sketch_state_roundtrips(name):
     """State payloads restore into replicas that answer queries identically."""

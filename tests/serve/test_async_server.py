@@ -28,8 +28,10 @@ import pytest
 from repro.distributed import wire
 from repro.distributed.transport import SocketChannel
 from repro.distributed.wire import (
+    MSG_BATCH,
     MSG_QUERY,
     QUERY_KEYS,
+    encode_batch,
     encode_frame,
     encode_query_request,
 )
@@ -264,6 +266,38 @@ def test_oversized_declared_length_rejected_without_allocation():
     assert stats.oversized_rejected == 1
     assert stats.frame_errors == 1  # the garbage-magic peer
     assert stats.closed_error == 2
+
+
+def test_non_positive_value_closes_only_its_connection(tmp_path):
+    """The batch is refused as malformed before it reaches the journal: the
+    server keeps answering and the store still warm-starts."""
+    config = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=10**9,
+                         store_dir=str(tmp_path))
+    service = config.build_service()
+    with AsyncServingSession(service) as session:
+        client = session.connect()
+        client.ingest([1, 2, 3])
+        hostile = raw_connect(session)
+        hostile.sendall(encode_frame(MSG_BATCH, encode_batch([4, 5], [1, -1])))
+        assert hostile.recv(1) == b""  # hung up on the bad batch
+        hostile.close()
+        client.flush()
+        other = session.connect()
+        for peer in (client, other):
+            estimates, _ = peer.query_batch([1, 2, 3, 4, 5])
+            assert estimates.tolist() == [1, 1, 1, 0, 0]
+        stats = other.stats()
+        client.close()
+        other.close()
+        server_stats = session.shutdown()
+    assert server_stats.frame_errors == 1
+    assert server_stats.closed_error == 1
+    assert stats["store"]["wal_frames_appended"] == 1
+    service.close()
+
+    restarted = config.build_service()
+    assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == [1, 1, 1, 0, 0]
+    restarted.close()
 
 
 # ------------------------------------------------------------- back-pressure

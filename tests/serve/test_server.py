@@ -168,6 +168,16 @@ def test_config_payload_ignores_keys_it_does_not_read():
     assert (estimates.tolist(), epoch_id) == ([64], 1)
 
 
+@pytest.mark.parametrize("required", ["algorithm", "memory_bytes"])
+def test_config_payload_without_a_required_key_is_malformed(required):
+    from repro.distributed.wire import WireFormatError, decode_config, encode_config
+
+    config = decode_config(ServeConfig("CU_fast", MEMORY).to_payload())
+    del config[required]
+    with pytest.raises(WireFormatError, match=required):
+        ServeConfig.from_payload(encode_config(config))
+
+
 def test_serving_session_serves_reliable_sketch():
     """ReliableSketch (snapshotable, unmergeable) serves remotely too."""
     stream = zipf_stream(5000, skew=1.2, universe=1000, seed=2)

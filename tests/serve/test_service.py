@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.serve.service import SketchService
@@ -53,7 +54,7 @@ def test_top_k_matches_brute_force():
     epoch = service.flush()
     ranking = service.top_k(10)
     # brute force over the same candidates against the same frozen epoch
-    candidates = list(service._keys)
+    candidates = list(service.key_directory.id_to_key)
     estimates = {key: int(value) for key, value in
                  zip(candidates, epoch.sketch.query_batch(candidates))}
     expected = sorted(candidates, key=lambda key: -estimates[key])[:10]
@@ -153,20 +154,19 @@ def test_stats_counters():
 def test_directory_unbounded_by_default():
     service = make_service(publish_every_items=10**9)
     service.ingest(list(range(5000)))
-    assert len(service._keys) == 5000
+    assert len(service.key_directory) == 5000
     assert service.directory_prunes == 0
     assert service.stats()["max_tracked_keys"] is None
 
 
 def test_directory_keeps_first_contact_order_and_native_keys():
-    import numpy as np
-
     service = make_service(publish_every_items=10**9)
     service.ingest([5, "b", 5, 9, "b"])
     service.ingest(np.asarray([9, 11, 2, 11], dtype=np.int64))
     service.ingest([2, 7, b"x", 13])
-    assert list(service._keys) == [5, "b", 9, 11, 2, 7, b"x", 13]
-    assert all(not isinstance(key, np.generic) for key in service._keys)
+    keys = service.key_directory.id_to_key
+    assert keys == [5, "b", 9, 11, 2, 7, b"x", 13]
+    assert all(not isinstance(key, np.generic) for key in keys)
 
 
 def test_directory_prune_waits_for_the_slack():
@@ -175,10 +175,10 @@ def test_directory_prune_waits_for_the_slack():
     service = make_service(publish_every_items=10**9, max_tracked_keys=100)
     service.ingest(list(range(160)))
     assert service.directory_prunes == 0
-    assert len(service._keys) == 160
+    assert len(service.key_directory) == 160
     service.ingest(list(range(160, 170)))  # 170 > 100 + 64
     assert service.directory_prunes == 1
-    assert len(service._keys) == 100
+    assert len(service.key_directory) == 100
 
 
 def test_directory_prune_keeps_the_heaviest_published_keys():
@@ -187,7 +187,7 @@ def test_directory_prune_keeps_the_heaviest_published_keys():
     service.flush()  # heavy keys are now visible to the pruning rank
     service.ingest(list(range(1000, 1100)))  # 200 tracked > 164 -> prune
     assert service.directory_prunes == 1
-    assert set(service._keys) == set(range(100))
+    assert set(service.key_directory.id_to_key) == set(range(100))
     stats = service.stats()
     assert stats["distinct_keys_tracked"] == 100
     assert stats["max_tracked_keys"] == 100
@@ -199,9 +199,9 @@ def test_pruned_key_reenters_on_next_ingest():
     service.ingest([key for key in range(100) for _ in range(5)])
     service.flush()
     service.ingest(list(range(1000, 1100)))  # prunes the light keys away
-    assert 1000 not in service._keys
+    assert 1000 not in service.key_directory.id_to_key
     service.ingest([1000])
-    assert 1000 in service._keys
+    assert 1000 in service.key_directory.id_to_key
 
 
 def test_directory_prune_preserves_top_k_contract():
@@ -215,11 +215,53 @@ def test_directory_prune_preserves_top_k_contract():
     assert service.directory_prunes > 0  # the scenario actually prunes
     epoch = service.flush()
     ranking = service.top_k(10)
-    candidates = list(service._keys)
+    candidates = list(service.key_directory.id_to_key)
     estimates = {key: int(value) for key, value in
                  zip(candidates, epoch.sketch.query_batch(candidates))}
     expected = sorted(candidates, key=lambda key: -estimates[key])[:10]
     assert [key for key, _ in ranking] == expected
+
+
+#: The families that intern every key they store: their interner is the
+#: service's key directory.
+KEY_STORING = ("Ours", "Ours(Raw)", "Elastic", "Coco", "HashPipe", "PRECISION")
+
+
+@pytest.mark.parametrize("name", KEY_STORING)
+def test_key_storing_directory_is_the_live_interner(name):
+    sketch = build_sketch(name, MEMORY, seed=0)
+    service = SketchService(
+        sketch, factory=lambda: build_sketch(name, MEMORY, seed=0), publish_every_items=4
+    )
+    service.ingest([5, "b", 5, 9, "b"])
+    service.ingest(np.asarray([9, 11, 2, 11], dtype=np.int64))
+    service.ingest([2, 7, b"x", 13])
+    service.ingest(np.arange(20, 30))
+    assert service.key_directory is sketch.key_interner
+    keys = service.key_directory.id_to_key
+    assert keys == [5, "b", 9, 11, 2, 7, b"x", 13, *range(20, 30)]
+    assert all(not isinstance(key, np.generic) for key in keys)
+    assert service.stats()["distinct_keys_tracked"] == len(keys)
+
+
+def test_max_tracked_keys_leaves_a_key_storing_directory_whole():
+    service = make_service(name="Ours", publish_every_items=10**9, max_tracked_keys=50)
+    service.ingest(list(range(300)))
+    stream = zipf_stream(6000, skew=1.1, universe=300, seed=3)
+    for chunk in stream.iter_batches(512):
+        service.ingest([item.key for item in chunk])
+    epoch = service.flush()
+    assert service.directory_prunes == 0
+    assert service.key_directory.id_to_key == list(range(300))
+    estimates = epoch.sketch.query_batch(list(range(300))).tolist()
+    # Brute force over every interned key; sorted() is stable, so ties keep
+    # first-contact order as top_k does.
+    expected = sorted(range(300), key=lambda key: -estimates[key])
+    for k in (10, 300):
+        assert service.top_k(k) == [(key, estimates[key]) for key in expected[:k]]
+    stats = service.stats()
+    assert stats["distinct_keys_tracked"] == 300
+    assert stats["max_tracked_keys"] == 50
 
 
 def test_directory_bound_validation():

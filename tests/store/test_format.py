@@ -189,6 +189,18 @@ def test_wal_frame_bit_flip_stops_at_that_frame():
     assert contents.valid_bytes == len(header) + len(first)
 
 
+def test_wal_frame_with_a_non_positive_value_is_the_tail():
+    """A frame journaled before values were validated (the batch its sketch
+    then rejected) ends the valid prefix, so recovery never replays it."""
+    header = encode_wal_header(1)
+    first = encode_wal_frame(["a"], [1])
+    contents = read_wal(header + first + encode_wal_frame([1, 2], [1, -1])
+                        + encode_wal_frame(["b"], [2]))
+    assert len(contents.batches) == 1
+    assert "non-positive" in contents.tail_error
+    assert contents.valid_bytes == len(header) + len(first)
+
+
 def test_wal_insane_frame_length_rejected():
     import struct
 

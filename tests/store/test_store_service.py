@@ -122,6 +122,48 @@ def test_crash_mid_append_then_serve_restart(tmp_path):
     restarted.close()
 
 
+def test_non_positive_value_is_rejected_before_journaling(tmp_path):
+    """A batch the sketch rejects never reaches the journal, where it would
+    fail every later recovery."""
+    service = config_for("Ours", tmp_path).build_service()
+    service.ingest(["a", "b"])
+    with pytest.raises(ValueError, match="positive"):
+        service.ingest(["c", "d"], [1, -1])
+    assert service.stats()["store"]["wal_frames_appended"] == 1
+    service.close()
+
+    restarted = config_for("Ours", tmp_path).build_service()
+    assert restarted.stats()["items_ingested"] == 2
+    assert restarted.query_batch(["a", "b", "c", "d"]).tolist() == [1, 1, 0, 0]
+    restarted.close()
+
+
+def test_warm_restart_directory_starts_from_restored_candidates(tmp_path):
+    """For a family that stores keys the directory is the recovered sketch's
+    interner: top_k ranks the restored candidates and the replayed journal
+    before anything new is ingested."""
+    heavy = [f"h{rank}" for rank in range(5)]
+    chunks = [[key for rank, key in enumerate(heavy) for _ in range(50 - 10 * rank)],
+              [f"l{index}" for index in range(200)]]
+    tail = ["t0", "t1"]
+    durable = config_for("Ours", tmp_path).build_service()
+    reference = config_for("Ours").build_service()
+    for service in (durable, reference):
+        for chunk in chunks:
+            service.ingest(chunk)
+        service.flush()  # the chunks reach a snapshot ...
+        service.ingest(tail)  # ... and the tail only the journal
+    reference.flush()
+    durable.close()
+
+    restarted = config_for("Ours", tmp_path).build_service()
+    assert restarted.stats()["items_ingested"] == reference.stats()["items_ingested"]
+    assert set(heavy + tail) <= set(restarted.key_directory.id_to_key)
+    assert restarted.top_k(5) == reference.top_k(5)
+    assert [key for key, _ in restarted.top_k(5)] == heavy
+    restarted.close()
+
+
 def test_degraded_store_keeps_serving(tmp_path):
     fs = CrashInjectingFileSystem(plan=CrashPlan(fail_writes=frozenset({2})))
     store = SketchStore(str(tmp_path), algorithm="CM_fast", fs=fs)
