@@ -14,6 +14,7 @@ must be bit-identical to querying a frozen copy of the sketch at E —
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 
 import pytest
@@ -112,6 +113,65 @@ def test_threaded_ingest_and_query_no_torn_reads(name):
         thread.join(timeout=60)
     assert not failures, failures
     assert service.current_epoch.epoch_id >= 10
+
+
+@pytest.mark.parametrize("name", ("CM_fast", "Ours"))
+def test_threaded_top_k_reads_a_consistent_directory(name):
+    """Readers rank the key directory while the writer grows it (the live
+    sketch's interner for Ours, the service's own for CM): every ranking is
+    of ingested keys at its epoch's estimates, and no update is lost."""
+    references = {}
+    reference_lock = threading.Lock()
+
+    def pin_reference(epoch):
+        with reference_lock:
+            references[epoch.epoch_id] = copy.deepcopy(epoch.sketch)
+
+    service = SketchService(build_sketch(name, MEMORY, seed=0), publish_every_items=400)
+    service._writer._on_publish = _chain(service._on_publish, pin_reference)
+    references[0] = copy.deepcopy(service.current_epoch.sketch)
+    keys = [item.key for item in zipf_stream(8000, skew=1.1, universe=3000, seed=5)]
+    ingested = set(keys)
+    failures: list[str] = []
+    done = threading.Event()
+
+    def writer():
+        for start in range(0, len(keys), 100):
+            service.ingest(keys[start : start + 100])
+        done.set()
+
+    def reader():
+        while True:
+            finished = done.is_set()
+            ranking, epoch_id = service.serve_top_k(20)
+            with reference_lock:
+                reference = references[epoch_id]
+            ranked = [key for key, _ in ranking]
+            estimates = [estimate for _, estimate in ranking]
+            if not set(ranked) <= ingested or len(set(ranked)) != len(ranked):
+                failures.append(f"ranking at epoch {epoch_id} names unknown or repeated keys")
+            elif estimates != reference.query_batch(ranked).tolist():
+                failures.append(f"ranking at epoch {epoch_id} has torn estimates")
+            elif estimates != sorted(estimates, reverse=True):
+                failures.append(f"ranking at epoch {epoch_id} is out of order")
+            if failures or finished:
+                break
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert service.key_directory.id_to_key == list(dict.fromkeys(keys))
 
 
 def _chain(*callbacks):
