@@ -29,7 +29,9 @@ order-dependent bucket transitions of each layer are applied by a
 conflict-free update kernel (:mod:`repro.kernels`), bit-identical to
 replaying the survivors one by one.  Keys are *interned* into dense
 integer ids on first contact, and a bucket's id is the only record of its
-candidate key: the kernels and both query paths compare ids, and
+candidate key: the kernels compare ids; reads compare the touched
+buckets' keys with the query keys (int batches gather them from the
+interner's ``int64`` column) and fall back to ids for other key types;
 snapshots encode the keys the interner maps the occupied buckets' ids to.
 ``query_batch`` retires keys as soon as their stopping condition
 (Algorithm 2) fires, exactly like the scalar :meth:`query_with_error`.
@@ -54,7 +56,7 @@ from repro.core.mice_filter import MiceFilter
 from repro.hashing import EncodedKeyBatch, HashFamily
 from repro.kernels import resolve_backend
 from repro.kernels.interning import KeyInterner
-from repro.kernels.scalar import bucket_apply
+from repro.kernels.scalar import EMPTY_ID, bucket_apply
 from repro.sketches.base import Sketch, UnmergeableSketchError
 
 
@@ -307,7 +309,9 @@ class ReliableSketch(Sketch):
         """Estimate ``f(key)`` together with its Maximum Possible Error.
 
         Implements Algorithm 2: accumulate layer readings until a stopping
-        condition shows the key cannot have reached deeper layers.
+        condition shows the key cannot have reached deeper layers.  A
+        bucket matches when it holds ``key`` itself (its id's key equals
+        ``key``), so the query resolves no key to an id.
         """
         self._query_count += 1
         estimate = 0
@@ -317,12 +321,13 @@ class ReliableSketch(Sketch):
             estimate += filtered
             mpe += filtered
 
-        item_id = self._interner.lookup(key)
+        key_of = self._interner.key_of
         layers_visited = 0
         for layer, hash_fn, threshold in zip(self._layers, self._hashes, self._thresholds):
             index = hash_fn(key)
             layers_visited += 1
-            matches = layer.key_ids.item(index) == item_id
+            slot_id = layer.key_ids.item(index)
+            matches = slot_id != EMPTY_ID and key_of(slot_id) == key
             yes = layer.yes.item(index)
             no = layer.no.item(index)
             estimate += yes if matches else no
@@ -341,10 +346,12 @@ class ReliableSketch(Sketch):
         """Batch point estimates, bit-identical to scalar :meth:`query` calls.
 
         Processes the batch layer by layer with vectorized hashing,
-        whole-array counter reads and interned-id key matching (no per-key
+        whole-array counter reads and whole-array key matching (no per-key
         Python comparisons); a key retires from the batch as soon as its
         stopping condition (Algorithm 2) fires, so per-layer hash-call
-        counts match the scalar path exactly.
+        counts match the scalar path exactly.  An int64 batch over a column
+        interner compares the touched slots' keys with the query keys and
+        resolves no key to an id; other batches compare interned ids.
         """
         batch = EncodedKeyBatch(keys)
         count = len(batch)
@@ -353,7 +360,15 @@ class ReliableSketch(Sketch):
         if self._filter is not None:
             estimates += self._filter.query_batch(batch)
 
-        item_ids = self._interner.lookup_batch(batch.keys, batch.int_key_array)
+        interner = self._interner
+        # Int keys over a column interner compare keys: each touched slot's
+        # key, gathered from the column, against the query key.  Any other
+        # batch compares each slot's id against the query key's id.
+        compare_keys = interner.column is not None and batch.int64_keys is not None
+        if compare_keys:
+            wanted = batch.int64_keys
+        else:
+            wanted = interner.lookup_batch(batch.keys, batch.int_key_array)
         active = np.arange(count, dtype=np.intp)
         for layer, hash_fn, threshold in zip(self._layers, self._hashes, self._thresholds):
             if not active.size:
@@ -362,7 +377,9 @@ class ReliableSketch(Sketch):
             indexes = hash_fn.index_batch(sub)
             yes_readings = layer.yes[indexes]
             no_readings = layer.no[indexes]
-            matches = layer.key_ids[indexes] == item_ids[active]
+            slot_ids = layer.key_ids[indexes]
+            held = interner.gather(slot_ids) if compare_keys else slot_ids
+            matches = held == wanted[active]
             estimates[active] += np.where(matches, yes_readings, no_readings)
             stopped = (no_readings < threshold) | (yes_readings == no_readings) | matches
             active = active[~stopped]

@@ -252,18 +252,19 @@ def _append_key_block(parts: list[bytes], batch: EncodedKeyBatch) -> None:
 def _read_key_block(read, count: int) -> EncodedKeyBatch:
     """Inverse of :func:`_append_key_block` over a payload ``read`` cursor.
 
-    A tagged block whose slots are all ``INT`` of at most 8 bytes decodes
-    with array operations into an int batch; any other tagged block per
-    key.  On both paths an ``INT`` slot must hold exactly ``key_to_bytes``
-    of its value: the receiver hashes the key's own encoding, so a padded
-    or truncated slot would make remote answers differ from local ones.
+    A ``uint32`` block decodes to an int64 batch that builds no key list
+    unless a consumer asks for one.  A tagged block whose slots are all
+    ``INT`` of at most 8 bytes decodes with array operations into an int
+    batch; any other tagged block per key.  On both paths an ``INT`` slot
+    must hold exactly ``key_to_bytes`` of its value: the receiver hashes
+    the key's own encoding, so a padded or truncated slot would make
+    remote answers differ from local ones.
     """
     key_mode = read(1)[0]
     if key_mode == _KEYS_INT32:
-        raw = np.frombuffer(read(4 * count), dtype="<u4")
-        # tolist() materialises Python ints in one C-level pass — this mode
-        # stays free of per-key Python work on both sides.
-        return EncodedKeyBatch(raw.tolist())
+        # One int64 batch, no per-key Python objects: the receiver hashes
+        # and compares the keys as arrays.
+        return EncodedKeyBatch(np.frombuffer(read(4 * count), dtype="<u4").astype(np.int64))
     if key_mode == _KEYS_TAGGED:
         tags = read(count)
         lengths = np.frombuffer(read(4 * count), dtype="<u4")
@@ -320,6 +321,9 @@ def _payload_reader(payload: bytes):
     return read, position
 
 
+_NON_POSITIVE_VALUE = "non-positive batch value (every sketch rejects it)"
+
+
 def encode_batch(
     keys: Sequence[object], values: Sequence[int] | np.ndarray | int | None = None
 ) -> bytes:
@@ -329,7 +333,8 @@ def encode_batch(
     a batch whose encodings are already materialised (e.g. a routed
     sub-batch) reuses them instead of re-encoding.  Stream order is
     preserved — decode returns the keys in exactly this order, which is what
-    keeps remote ingest exact for order-dependent sketches.
+    keeps remote ingest exact for order-dependent sketches.  A value of 0 or
+    less raises :class:`WireFormatError`, as it does on decode.
     """
     batch = keys if isinstance(keys, EncodedKeyBatch) else EncodedKeyBatch(keys)
     count = len(batch)
@@ -339,11 +344,15 @@ def encode_batch(
     if values is None:
         parts.append(bytes([_VALUES_ONES]))
     elif isinstance(values, int):
+        if count and values <= 0:
+            raise WireFormatError(_NON_POSITIVE_VALUE)
         parts.append(bytes([_VALUES_UNIFORM]) + struct.pack(">q", values))
     else:
         value_array = np.asarray(values, dtype=np.int64)
         if value_array.shape != (count,):
             raise WireFormatError("values must match the number of keys")
+        if count and int(value_array.min()) <= 0:
+            raise WireFormatError(_NON_POSITIVE_VALUE)
         if count and (value_array == value_array[0]).all():
             # Degenerate to the uniform mode (covers the all-ones frequency
             # streams of the paper): 8 bytes instead of 8 per key.
@@ -376,7 +385,7 @@ def decode_batch(payload: bytes) -> tuple[EncodedKeyBatch, np.ndarray]:
     else:
         raise WireFormatError(f"unknown value mode {value_mode}")
     if value_mode != _VALUES_ONES and count and int(values.min()) <= 0:
-        raise WireFormatError("non-positive batch value (every sketch rejects it)")
+        raise WireFormatError(_NON_POSITIVE_VALUE)
     if position() != len(payload):
         raise WireFormatError("trailing bytes after batch payload")
     return batch, values

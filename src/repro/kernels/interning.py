@@ -1,12 +1,21 @@
 """Key interning: dense integer ids, the only record of a bucket's key.
 
 Key-storing sketches hold each bucket's candidate key as an ``int64`` id,
-so the update kernels and both query paths compare keys as integers, and
-every key a sketch touches is assigned a dense id on first contact.
-``dict`` lookup defines identity (``==``/``hash``), and a NumPy side table
-accelerates the common case: batches of small non-negative ints (the
-paper's flow IDs) intern through one vectorized gather instead of one
-dict probe per item.
+so the update kernels compare keys as integers, and every key a sketch
+touches is assigned a dense id on first contact.  ``dict`` lookup defines
+identity (``==``/``hash``), and a NumPy side table accelerates the common
+case: batches of small non-negative ints (the paper's flow IDs) intern
+through one vectorized gather instead of one dict probe per item.
+
+Ids are never recycled, so the id → key map names every bucket's key for
+the interner's whole life.  It has two forms.  While every interned key is
+a plain ``int`` in ``(-2^63, 2^63)`` it is one append-only ``int64``
+column (:attr:`KeyInterner.column`): reads then compare each touched
+slot's *key*, gathered from the column, with the query key, and never look
+a query key up.  The first other key (``str``, ``bytes``, ``bool``, or an
+int outside that range) converts the column to a list of key objects, once.
+Callers read keys through :meth:`KeyInterner.key_of`,
+:meth:`KeyInterner.keys` and :meth:`KeyInterner.gather`, never the storage.
 
 The side table is a pure cache of the dict (the dict stays the source of
 truth, so scalar inserts and batch inserts interleave consistently) and
@@ -14,20 +23,19 @@ is only grown for keys below :data:`_TABLE_KEY_LIMIT` — an ``int64``
 entry per key caps it at 32 MiB, transiently up to twice that while a
 doubling re-allocation is in flight; everything else takes the dict path.
 Like the dict, it grows with the distinct keys ingested — the deliberate
-speed-for-memory trade of the batch datapath.
+speed-for-memory trade of the batch datapath.  Int batches intern in bulk
+on both sides of that limit: known keys resolve through one table gather
+or one C-level dict probe, and new keys take their first-contact ids
+through one ``dict.update``.
 
-Int batches intern in bulk on both sides of that limit: known keys
-resolve through one table gather or one C-level dict probe, and new keys
-take their first-contact ids through one ``dict.update``.
-
-Ids are never recycled, so ``id_to_key`` names every bucket's key for
-the interner's whole life.  Snapshots encode the keys the occupied slots
-name (:meth:`KeyInterner.slot_key_arrays`) and restores intern them into a
-fresh interner (:meth:`KeyInterner.from_slot_arrays`, through
-:meth:`KeyInterner.intern_many`, which never allocates the table), so a
-replica rebuilt from a snapshot carries only the dict; a replica copied
-from a live sketch takes :meth:`KeyInterner.compact`, a dict of just its
-candidate keys.
+Snapshots encode the keys the occupied slots name
+(:meth:`KeyInterner.slot_key_arrays`, one gather from the column) and
+restores intern them into a fresh interner
+(:meth:`KeyInterner.from_slot_arrays`, through
+:meth:`KeyInterner.intern_many`, which never allocates the table); a
+replica copied from a live sketch takes :meth:`KeyInterner.compact`, the
+gathered keys of just its candidates, and builds its dict only if it later
+interns or looks up a key.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 from repro.hashing.families import (
     KEY_TAG_INT,
     KEY_TAG_NONE,
+    as_int64_keys,
     encode_int_keys,
     keys_from_arrays,
     keys_to_arrays,
@@ -50,6 +59,12 @@ from repro.kernels.scalar import EMPTY_ID, UNKNOWN_ID
 #: Int keys below this may enter the vectorized id table (32 MiB of int64
 #: ids at most, excluding the transient doubling copy).
 _TABLE_KEY_LIMIT = 1 << 22
+
+#: What :meth:`KeyInterner.gather` reads for an ``EMPTY_ID`` slot.  No
+#: column key takes it (the int codec has no code for -2^63, so the column
+#: never holds it), and no int64 query batch contains it.
+NO_KEY = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 class KeyInternerOverflowError(RuntimeError):
@@ -73,55 +88,136 @@ class KeyInterner:
     key spaces instead of silent unbounded dict growth.
 
     An id, once assigned, names its key for the interner's whole life: a
-    bucket that holds id ``i`` holds ``id_to_key[i]``.
+    bucket that holds id ``i`` holds ``key_of(i)``.
     """
 
-    __slots__ = ("_ids", "id_to_key", "_table", "max_keys", "_int_only")
+    __slots__ = ("_ids", "_buffer", "_column", "_keys", "_table", "max_keys")
 
     def __init__(self, max_keys: int | None = None) -> None:
         if max_keys is not None and max_keys <= 0:
             raise ValueError("max_keys must be positive (or None for unbounded)")
-        self._ids: dict = {}
-        #: Inverse map; ``id_to_key[i]`` is the key that owns id ``i``.
-        self.id_to_key: list = []
+        #: key -> id; ``None`` until first needed in an interner built from
+        #: keys alone (:meth:`compact`).
+        self._ids: dict | None = {}
+        # Column form: ``_column`` is the read-only prefix of ``_buffer``
+        # holding id -> key, replaced (never written) on every append, so a
+        # concurrent reader of ``_column`` sees one consistent state.  The
+        # buffer always has room past the column, filled with NO_KEY, so its
+        # last entry — what ``EMPTY_ID`` (-1) indexes — is NO_KEY.
+        self._buffer: np.ndarray | None = np.full(1, NO_KEY, dtype=np.int64)
+        self._column: np.ndarray | None = self._buffer[:0]
+        #: List form: id -> key objects; ``None`` while the column holds them.
+        self._keys: list | None = None
         self._table: np.ndarray | None = None
         self.max_keys = max_keys
-        #: True while every interned key is a plain ``int`` — the invariant
-        #: that lets batch misses skip the per-key dict probe (no ``==``-equal
-        #: non-int alias can exist, and every covered int key is mirrored in
-        #: the table by ``_assign`` / ``_ensure_table`` back-fill).
-        self._int_only = True
 
     def __len__(self) -> int:
-        return len(self.id_to_key)
+        column = self._column
+        return len(self._keys) if column is None else len(column)
 
+    # ------------------------------------------------------------ key reads
+    @property
+    def column(self) -> np.ndarray | None:
+        """Every key in id order as one read-only ``int64`` array, or ``None``.
+
+        ``None`` once a key outside ``(-2^63, 2^63)`` or a non-``int`` key
+        has been interned (the list form).
+        """
+        return self._column
+
+    def key_of(self, item_id: int) -> object:
+        """The key that owns ``item_id``; a Python ``int`` in column form."""
+        column = self._column
+        return self._keys[item_id] if column is None else column.item(item_id)
+
+    def keys(self, start: int = 0) -> list:
+        """The keys of ids ``start`` onwards, in id order, as a new list of Python objects."""
+        column = self._column
+        return self._keys[start:] if column is None else column[start:].tolist()
+
+    def gather(self, slot_ids: np.ndarray) -> np.ndarray:
+        """The ``int64`` keys ``slot_ids`` name; column form only.
+
+        ``slot_ids`` holds ids of this interner and ``EMPTY_ID``; an empty
+        slot reads :data:`NO_KEY`, which equals no key of an int64 batch,
+        also when the column is empty.
+        """
+        return self._buffer[slot_ids]
+
+    def _id_map(self) -> dict:
+        """The key -> id dict, built from the keys on first use if absent."""
+        ids = self._ids
+        if ids is None:
+            keys = self.keys()
+            ids = self._ids = dict(zip(keys, range(len(keys))))
+        return ids
+
+    def _append(self, new_keys: np.ndarray | list) -> None:
+        """Append int64-range keys to the column, keeping NO_KEY past its end."""
+        size = len(self._column)
+        end = size + len(new_keys)
+        buffer = self._buffer
+        if end >= len(buffer):
+            grown = np.full(max(2 * len(buffer), end + 1), NO_KEY, dtype=np.int64)
+            grown[:size] = buffer[:size]
+            self._buffer = buffer = grown
+        buffer[size:end] = new_keys
+        column = buffer[:end]
+        column.flags.writeable = False
+        self._column = column
+
+    # ------------------------------------------------------------- scalars
     def intern(self, key: object) -> int:
         """The id of ``key``, assigning the next dense id on first contact."""
-        item_id = self._ids.get(key)
+        item_id = self._id_map().get(key)
         if item_id is None:
             item_id = self._assign(key)
         return item_id
 
     def lookup(self, key: object) -> int:
         """The id of ``key``, or ``UNKNOWN_ID`` when it was never interned."""
-        return self._ids.get(key, UNKNOWN_ID)
+        return self._id_map().get(key, UNKNOWN_ID)
 
     def _assign(self, key: object) -> int:
-        item_id = len(self.id_to_key)
+        item_id = len(self)
         if self.max_keys is not None and item_id >= self.max_keys:
             raise KeyInternerOverflowError(
                 f"key interner is full: {self.max_keys} distinct keys "
                 f"already interned, cannot intern {key!r} (raise max_keys "
                 "or leave it unbounded)"
             )
-        if type(key) is not int:
-            self._int_only = False
+        column = self._column
+        if column is not None and type(key) is int and NO_KEY < key <= _INT64_MAX:
+            self._append([key])
+        else:
+            if column is not None:  # the first key the column cannot hold
+                self._keys = column.tolist()
+                self._column = self._buffer = None
+            self._keys.append(key)
         self._ids[key] = item_id
-        self.id_to_key.append(key)
         table = self._table
         if table is not None and type(key) is int and 0 <= key < len(table):
             table[key] = item_id
         return item_id
+
+    def check_room(self, keys: Sequence[object], int_keys: np.ndarray | None = None) -> None:
+        """Raise :class:`KeyInternerOverflowError` if interning ``keys`` would pass ``max_keys``.
+
+        Counts the batch's distinct keys this interner does not know — the
+        ids one :meth:`intern_batch` call would assign — and assigns none.
+        Lets a caller refuse a batch before acting on it (a durable service
+        journals first).  A no-op on an unbounded interner.
+        """
+        if self.max_keys is None:
+            return
+        unknown = np.flatnonzero(self.lookup_batch(keys, int_keys) == UNKNOWN_ID)
+        new = len(dict.fromkeys(map(keys.__getitem__, unknown.tolist())))
+        if len(self) + new > self.max_keys:
+            raise KeyInternerOverflowError(
+                f"key interner is full: {len(self)} of {self.max_keys} distinct "
+                f"keys interned, cannot intern a batch with {new} new keys "
+                "(raise max_keys or leave it unbounded)"
+            )
 
     # ------------------------------------------------------------- batches
     def intern_batch(
@@ -135,7 +231,13 @@ class KeyInterner:
         resolve through one table gather, or, above the table's key limit,
         one dict probe, and new keys assign in bulk.
         """
-        if int_keys is not None and int_keys.size and int(int_keys.max()) < _TABLE_KEY_LIMIT:
+        self._id_map()
+        if (
+            int_keys is not None
+            and int_keys.size
+            and int(int_keys.min()) >= 0
+            and int(int_keys.max()) < _TABLE_KEY_LIMIT
+        ):
             table = self._ensure_table(int(int_keys.max()))
             ids = table[int_keys]
             missing = np.flatnonzero(ids < 0)
@@ -174,14 +276,12 @@ class KeyInterner:
         Same ids and the same overflow point as that loop, and like it this
         never allocates the id table — a restored replica must not pay for
         one.  An unbounded interner resolves a batch of plain ``int`` keys
-        through the bulk path.
+        in ``(-2^63, 2^63)`` through the bulk path.
         """
-        if self._bulk_assigns() and set(map(type, keys)) == {int}:
-            try:
-                int_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
-            except OverflowError:
-                pass
-            else:
+        self._id_map()
+        if self._bulk_assigns():
+            int_keys = as_int64_keys(keys)
+            if int_keys is not None:
                 return self._intern_ints(keys, int_keys)
         return np.fromiter(map(self.intern, keys), dtype=np.int64, count=len(keys))
 
@@ -192,8 +292,9 @@ class KeyInterner:
 
         ``slot_ids`` holds this interner's ids (``EMPTY_ID`` for empty
         slots); its ``m`` distinct ids become ``0..m-1``, in id order, each
-        mapped to its key here.  Like one filled by :meth:`intern_many`, the
-        new interner has no id table.  Raises
+        mapped to its key here.  The new interner holds just those keys, in
+        this interner's form, with no id table, and builds its dict only if
+        it later interns or looks up a key.  Raises
         :class:`KeyInternerOverflowError`, before building anything, when
         ``m`` exceeds ``max_keys``.
         """
@@ -204,11 +305,13 @@ class KeyInterner:
                 f"cannot compact {len(distinct)} distinct keys into an "
                 f"interner bounded at {max_keys}"
             )
-        keys = list(map(self.id_to_key.__getitem__, distinct.tolist()))
         interner = KeyInterner(max_keys=max_keys)
-        interner._ids = dict(zip(keys, range(len(keys))))
-        interner.id_to_key = keys
-        interner._int_only = self._int_only or all(type(key) is int for key in keys)
+        interner._ids = None
+        if self._column is not None:
+            interner._append(self._column[distinct])
+        else:
+            interner._column = interner._buffer = None
+            interner._keys = list(map(self._keys.__getitem__, distinct.tolist()))
         compact_ids = np.full(len(slot_ids), EMPTY_ID, dtype=np.int64)
         compact_ids[occupied] = renumbered
         return interner, compact_ids
@@ -220,26 +323,19 @@ class KeyInterner:
         slots (which encode as ``None``).  Only the occupied slots' keys are
         gathered and encoded; the result is byte for byte the encoding of
         the full slot list, because empty slots contribute no blob bytes.
-        While every interned key is a plain ``int``, the keys go straight to
-        the whole-array int codec, skipping the codec's per-key type screen.
+        In column form the keys are one gather from the column, straight
+        into the whole-array int codec.
         """
         occupied = np.flatnonzero(slot_ids != EMPTY_ID)
-        keys = list(map(self.id_to_key.__getitem__, slot_ids[occupied].tolist()))
         tags = np.full(len(slot_ids), KEY_TAG_NONE, dtype=np.uint8)
         lengths = np.zeros(len(slot_ids), dtype=np.uint32)
-        if self._int_only:
-            try:
-                int_lengths, rows = encode_int_keys(
-                    np.fromiter(keys, dtype=np.int64, count=len(keys))
-                )
-            except OverflowError:  # beyond int64, or -2^63: the per-key codec
-                pass
-            else:
-                tags[occupied] = KEY_TAG_INT
-                lengths[occupied] = int_lengths
-                blob = pack_int_keys(int_lengths, rows)
-                return {"tags": tags, "lengths": lengths, "blob": blob}
-        arrays = keys_to_arrays(keys)
+        column = self._column
+        if column is not None:
+            int_lengths, rows = encode_int_keys(column[slot_ids[occupied]])
+            tags[occupied] = KEY_TAG_INT
+            lengths[occupied] = int_lengths
+            return {"tags": tags, "lengths": lengths, "blob": pack_int_keys(int_lengths, rows)}
+        arrays = keys_to_arrays(list(map(self._keys.__getitem__, slot_ids[occupied].tolist())))
         tags[occupied] = arrays["tags"]
         lengths[occupied] = arrays["lengths"]
         return {"tags": tags, "lengths": lengths, "blob": arrays["blob"]}
@@ -274,11 +370,11 @@ class KeyInterner:
     def _bulk_assigns(self) -> bool:
         """Whether new keys may take :meth:`_assign_new`.
 
-        Only for the unbounded interner that has only ever seen plain
-        ``int`` keys: ids are then dense stream-order integers, and no
+        Only for the unbounded interner in column form: ids are then dense
+        stream-order integers, every key is a plain ``int``, and no
         ``==``-equal non-int alias can hide a key from the id table.
         """
-        return self.max_keys is None and self._int_only
+        return self.max_keys is None and self._column is not None
 
     def _intern_ints(self, keys: Sequence[object], int_keys: np.ndarray) -> np.ndarray:
         """Bulk interning of plain ``int`` keys through one C-level dict probe."""
@@ -296,17 +392,16 @@ class KeyInterner:
         """Assign ids to the brand-new plain-int keys at ``positions``; return them.
 
         Each distinct key takes the next dense id at its first occurrence —
-        the ids a loop of :meth:`intern` calls hands out.  The dict and
-        ``id_to_key`` store the caller's own key objects, not copies.  The
-        id table is written where it already covers a key and never
-        allocated here: it must stay a faithful cache of the dict, because
-        the table path treats a miss as a brand-new key.
+        the ids a loop of :meth:`intern` calls hands out — and is appended
+        to the column.  The id table is written where it already covers a
+        key and never allocated here: it must stay a faithful cache of the
+        dict, because the table path treats a miss as a brand-new key.
         """
         new_keys = list(map(keys.__getitem__, positions.tolist()))
         fresh = list(dict.fromkeys(new_keys))
-        start = len(self.id_to_key)
+        start = len(self)
         self._ids.update(zip(fresh, range(start, start + len(fresh))))
-        self.id_to_key.extend(fresh)
+        self._append(fresh)
         ids = np.fromiter(map(self._ids.__getitem__, new_keys), dtype=np.int64, count=len(new_keys))
         table = self._table
         if table is not None:
@@ -324,13 +419,12 @@ class KeyInterner:
     ) -> None:
         """Assign the batch's table misses in first-contact order.
 
-        For the unbounded interner.  While it has only ever seen
-        plain ``int`` keys (``_int_only``), a table miss is provably a
-        brand-new key, so the misses take the bulk :meth:`_assign_new`;
-        otherwise the dict is consulted per distinct key — a miss may be a
-        key interned under an ``==``-equal non-int object.
+        For the unbounded interner.  In column form a table miss is provably
+        a brand-new key, so the misses take the bulk :meth:`_assign_new`;
+        in list form the dict is consulted per distinct key — a miss may be
+        a key interned under an ``==``-equal non-int object.
         """
-        if self._int_only:
+        if self._column is not None:
             ids[missing] = self._assign_new(keys, int_keys, missing)
             return
         table = self._table
@@ -338,13 +432,13 @@ class KeyInterner:
         uniq, first_seen = np.unique(miss_keys, return_index=True)
         get = self._ids.get
         ids_map = self._ids
-        id_to_key = self.id_to_key
+        key_list = self._keys
         for key in uniq[np.argsort(first_seen, kind="stable")].tolist():
             item_id = get(key)
             if item_id is None:
-                item_id = len(id_to_key)
+                item_id = len(key_list)
                 ids_map[key] = item_id
-                id_to_key.append(key)
+                key_list.append(key)
             table[key] = item_id
         ids[missing] = table[miss_keys]
 
@@ -356,24 +450,26 @@ class KeyInterner:
         Queries must never grow the interner: an unknown key cannot match
         any bucket (every incumbent is interned by construction).
         """
+        table = self._table
         if (
             int_keys is not None
             and int_keys.size
-            and self._table is not None
-            and int(int_keys.max()) < len(self._table)
+            and table is not None
+            and int(int_keys.min()) >= 0
+            and int(int_keys.max()) < len(table)
         ):
-            ids = self._table[int_keys]
+            ids = table[int_keys]
             missing = np.flatnonzero(ids < 0)
             if missing.size:
                 # A key may be known to the dict but not yet cached (it was
                 # interned before the table grew past it, or via an object
                 # that is == an int); resolve the leftovers through the dict.
-                get = self._ids.get
+                get = self._id_map().get
                 for position in missing.tolist():
                     ids[position] = get(int(int_keys[position]), UNKNOWN_ID)
             return ids
         return np.asarray(
-            list(map(self._ids.get, keys, repeat(UNKNOWN_ID))), dtype=np.int64
+            list(map(self._id_map().get, keys, repeat(UNKNOWN_ID))), dtype=np.int64
         )
 
     def _ensure_table(self, top_key: int) -> np.ndarray:

@@ -36,7 +36,7 @@ pinned to them by the kernel-parity test matrix.
 
 Key identity is integer-encoded: each sketch interns keys into dense ids
 (``dict`` lookups use ``==``/``hash``), and a bucket's id is the only
-record of its candidate key — the interner's ``id_to_key`` names it, so
+record of its candidate key — the interner's ``key_of`` names it, so
 the transitions return only what the caller must act on (excess value,
 light-part traffic, carried tokens), never which buckets changed.  The
 sentinels below mark the two "no id" cases.  ``EMPTY_ID`` and

@@ -20,7 +20,8 @@ The moving parts, in the order a request meets them::
   time (slowloris) just parks cheap buffered state — it never blocks the
   loop or any other connection.  A declared length beyond
   :data:`~repro.distributed.wire.MAX_PAYLOAD_BYTES`, garbage magic, or a
-  disconnect mid-frame closes *that* connection with a counted error.
+  disconnect mid-frame closes *that* connection with a counted error, and
+  so does a batch the service refuses (a bounded interner without room).
 * **Pipelining**: a connection may have any number of requests in flight;
   every parsed query claims a *reply slot* in arrival order, and slots are
   written out strictly in order — so answers (including BUSY rejections)
@@ -73,6 +74,7 @@ from repro.distributed.wire import (
     encode_query_response,
     parse_frame_header,
 )
+from repro.kernels.interning import KeyInternerOverflowError
 from repro.serve.server import QueryClient, answer_request, create_listener
 from repro.serve.service import SketchService
 
@@ -99,6 +101,8 @@ class AsyncServerStats:
     batches_ingested: int = 0
     busy_rejected: int = 0
     frame_errors: int = 0
+    #: Batches the service refused (a bounded interner without room).
+    batches_rejected: int = 0
     oversized_rejected: int = 0
     truncated_disconnects: int = 0
     bytes_received: int = 0
@@ -408,6 +412,12 @@ class AsyncSketchServer:
                     self.stats.queries_served += 1
             except WireFormatError as error:
                 self.stats.frame_errors += 1
+                self._close_connection(connection, error=str(error))
+                continue
+            except KeyInternerOverflowError as error:
+                # The service refused the batch before journaling it; only
+                # its sender is dropped, the loop keeps serving.
+                self.stats.batches_rejected += 1
                 self._close_connection(connection, error=str(error))
                 continue
             self._flush_ready_replies(connection)

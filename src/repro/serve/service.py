@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.hashing import EncodedKeyBatch
 from repro.kernels.interning import KeyInterner
 from repro.serve.errors import EpochGoneError
 from repro.serve.snapshots import (
@@ -146,10 +147,19 @@ class SketchService:
 
     # ------------------------------------------------------------ write side
     def ingest(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
-        """Absorb one batch (single-writer contract, see the epoch writer)."""
+        """Absorb one batch (single-writer contract, see the epoch writer).
+
+        A batch the sketch would refuse — a non-positive value, or more new
+        keys than a bounded interner has room for — raises before anything
+        is journaled or ingested.
+        """
         # Validated before journaling: a journaled batch the sketch rejects
         # would fail every later recovery.
         Sketch._batch_values(values, len(keys))
+        interner = self._writer.live_sketch.key_interner
+        if interner is not None and interner.max_keys is not None:
+            batch = EncodedKeyBatch(keys)
+            interner.check_room(batch.keys, batch.int_key_array)
         if self._store is not None:
             # Journal first: a batch is either durably in the WAL before it
             # can affect an answer, or (post-crash) absent from both the
@@ -173,7 +183,7 @@ class SketchService:
         pruned once, and re-enters the directory on its next ingest), ties
         kept in first-contact order.
         """
-        candidates = self._directory.id_to_key
+        candidates = self._directory.keys()
         estimates = self._writer.current.sketch.query_batch(candidates)
         order = np.argsort(-estimates, kind="stable")[: self.max_tracked_keys]
         # Re-sort the survivors by position to preserve first-contact order.
@@ -334,7 +344,7 @@ class SketchService:
         if k <= 0:
             raise ValueError("k must be positive")
         snapshot = self._writer.current if epoch is None else self.resolve_epoch(epoch)
-        return self._rank_epoch(snapshot, list(self.key_directory.id_to_key), k), snapshot.epoch_id
+        return self._rank_epoch(snapshot, self.key_directory.keys(), k), snapshot.epoch_id
 
     @staticmethod
     def _rank_epoch(
@@ -381,7 +391,7 @@ class SketchService:
     def _diff_snapshots(
         self, earlier: EpochSnapshot, later: EpochSnapshot, k: int, min_delta: int
     ) -> ChangeReport:
-        candidates = list(self.key_directory.id_to_key)
+        candidates = self.key_directory.keys()
         before = self._rank_epoch(earlier, candidates, k)
         after = self._rank_epoch(later, candidates, k)
         # Exact cross-estimates for keys ranked on only one side, so every

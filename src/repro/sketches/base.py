@@ -105,7 +105,7 @@ class Sketch(abc.ABC):
 
     @property
     def key_interner(self) -> KeyInterner | None:
-        """The interner whose ``id_to_key`` lists this sketch's keys, or ``None`` (read-only)."""
+        """The interner whose ``keys()`` lists this sketch's keys, or ``None`` (read-only)."""
         return self._interner
 
     @abc.abstractmethod

@@ -110,7 +110,7 @@ class ElasticSketch(Sketch):
         )
         if evicted is not None:
             # Evict the incumbent to the light part.
-            self._light_insert(self._interner.id_to_key[evicted[0]], evicted[1])
+            self._light_insert(self._interner.key_of(evicted[0]), evicted[1])
         if light_self:
             self._light_insert(key, value)
 
@@ -133,9 +133,9 @@ class ElasticSketch(Sketch):
             # per-event result.
             light_indexes = self._light_hash.index_batch(batch.take(light_positions))
             np.add.at(self._light, light_indexes, value_array[light_positions])
-        id_to_key = self._interner.id_to_key
+        key_of = self._interner.key_of
         for evicted_id, evicted_value in zip(evicted_ids.tolist(), evicted_values.tolist()):
-            index = self._light_hash(id_to_key[evicted_id])
+            index = self._light_hash(key_of(evicted_id))
             self._light[index] += evicted_value
         if light_positions.size or evicted_ids.size:
             np.minimum(self._light, _LIGHT_COUNTER_MAX, out=self._light)

@@ -77,7 +77,7 @@ class HashPipe(Sketch):
     def _cache_stage_cells(self) -> None:
         """Cache every stage's cell of the ids at or above the watermark.
 
-        Those are the keys ``id_to_key[_cached_ids:]``, in id order: a lone
+        Those are the keys ``keys(_cached_ids)``, in id order: a lone
         one (a scalar insert's new key) is hashed per key, a run of them
         vectorized.  Runs uncounted: the cache is a precomputation artefact
         of the struct-of-arrays port, not a hash evaluation the pipeline
@@ -85,7 +85,7 @@ class HashPipe(Sketch):
         hashed.
         """
         start = self._cached_ids
-        fresh = self._interner.id_to_key[start:]
+        fresh = self._interner.keys(start)
         if not fresh:
             return
         end = start + len(fresh)

@@ -231,7 +231,7 @@ def test_snapshot_bytes_equal_the_per_key_codec(name, monkeypatch):
     """
     def per_key_slot_arrays(interner, slot_ids):
         return _keys_to_arrays_per_key([
-            None if item_id == EMPTY_ID else interner.id_to_key[item_id]
+            None if item_id == EMPTY_ID else interner.key_of(item_id)
             for item_id in slot_ids.tolist()
         ])
 
@@ -268,7 +268,7 @@ def test_restore_interns_like_the_per_key_loop(bounds):
     replica.state_restore(state)
     expected, layer_ids = per_key_restore(state, donor.depth, **bounds)
     restored = replica._interner
-    assert restored.id_to_key == expected.id_to_key
+    assert restored.keys() == expected.keys()
     assert restored._ids == expected._ids
     assert [layer.key_ids.tolist() for layer in replica._layers] == layer_ids
     keys = stream.keys()
@@ -361,7 +361,7 @@ def test_copied_replica_interns_only_its_candidates(kind):
     replica = build_sketch("Ours", MEMORY, seed=0)
     donor.copy_state_into(replica)
     candidates = {
-        donor._interner.id_to_key[item_id]
+        donor._interner.key_of(item_id)
         for layer in donor._layers
         for item_id in layer.key_ids.tolist()
         if item_id != EMPTY_ID

@@ -9,6 +9,8 @@ every mergeable sketch family.  Malformed frames must fail loudly with
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,23 @@ def test_decoded_batch_reuses_transmitted_encodings():
     assert batch._encoded == source.encoded
 
 
+def test_int32_block_decodes_to_an_int64_batch_without_a_key_list():
+    """The uint32 key block becomes one int64 array, and no Python key list
+    is built unless a consumer asks for the keys."""
+    keys = [5, 0, 2**31 - 1, 5]
+    payload = encode_batch(keys)
+    assert payload[4] == wire._KEYS_INT32  # the wire bytes keep their mode
+    batch, _ = decode_batch(payload)
+    request = wire.decode_query_request(
+        wire.encode_query_request(1, wire.QUERY_KEYS, keys=keys)
+    )
+    for decoded in (batch, request.keys):
+        assert decoded.int64_keys.dtype == np.int64
+        assert decoded.int64_keys.tolist() == keys
+        assert decoded._keys is None
+    assert [type(key) for key in batch.keys] == [int] * len(keys)
+
+
 def test_routed_subbatch_roundtrips():
     """The coordinator's take() sub-batches serialize like fresh batches."""
     parent = EncodedKeyBatch([5, "x", b"y", 9, 2**50])
@@ -111,12 +130,36 @@ def test_unsupported_key_type_rejected():
         encode_batch([1.5])
 
 
-@pytest.mark.parametrize("values", [[1, -1, 2], [5, 0, 7], [0, 0, 0], -3, 0])
+def payload_with_values(keys, values):
+    """A batch payload carrying ``values`` as given (``encode_batch`` refuses
+    non-positive ones): a list in the array mode, an int in the uniform mode."""
+    head = encode_batch(keys)[:-1]  # the key block, less the all-ones value mode
+    if isinstance(values, int):
+        return head + bytes([wire._VALUES_UNIFORM]) + struct.pack(">q", values)
+    return head + bytes([wire._VALUES_ARRAY]) + np.asarray(values, dtype="<i8").tobytes()
+
+
+NON_POSITIVE_VALUES = [[1, -1, 2], [5, 0, 7], [0, 0, 0], -3, 0]
+
+
+@pytest.mark.parametrize("values", NON_POSITIVE_VALUES)
 def test_non_positive_values_rejected_on_decode(values):
     """Every sketch rejects such a value, so the decoder refuses the payload
     (array and uniform value modes alike) instead of handing it on."""
+    payload = payload_with_values([1, 2, 3], values)
     with pytest.raises(WireFormatError, match="non-positive"):
-        decode_batch(encode_batch([1, 2, 3], values))
+        decode_batch(payload)
+
+
+@pytest.mark.parametrize("values", NON_POSITIVE_VALUES)
+def test_non_positive_values_rejected_on_encode(values):
+    """The sender learns of a bad value at the call, not one read later."""
+    with pytest.raises(WireFormatError, match="non-positive"):
+        encode_batch([1, 2, 3], values)
+    # An empty batch carries no value, so there is nothing to refuse; the
+    # decoder accepts it too.
+    empty = encode_batch([], values if isinstance(values, int) else [])
+    assert len(decode_batch(empty)[0]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(mergeable_names()))

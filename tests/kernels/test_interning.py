@@ -15,6 +15,9 @@ from repro.hashing import EncodedKeyBatch
 from repro.hashing.families import keys_to_arrays
 from repro.kernels import EMPTY_ID, UNKNOWN_ID
 from repro.kernels.interning import KeyInterner, KeyInternerOverflowError
+from repro.serve.async_server import AsyncServingSession
+from repro.serve.server import ServeConfig
+from repro.sketches import hashpipe
 from repro.sketches.hashpipe import HashPipe
 from repro.sketches.registry import build_sketch
 
@@ -131,7 +134,7 @@ def test_bulk_interning_matches_the_scalar_loop(batches, prime_table):
         assert many.intern_many(batch).tolist() == expected
         assert_faithful_table(bulk)
         assert_faithful_table(many)
-    assert bulk.id_to_key == many.id_to_key == scalar.id_to_key
+    assert bulk.keys() == many.keys() == scalar.keys()
     assert bulk._ids == scalar._ids
     assert (many._table is None) == (not prime_table)
 
@@ -139,7 +142,8 @@ def test_bulk_interning_matches_the_scalar_loop(batches, prime_table):
 @pytest.mark.parametrize("prime_table", (False, True))
 @pytest.mark.parametrize("base", (1000, 2**30))
 def test_interner_stores_the_callers_key_objects(base, prime_table):
-    """No copies: ``id_to_key[i]`` is the object of the key's first contact."""
+    """``key_of(i)`` is the object of the key's first contact for ``str`` and
+    ``bytes`` keys; int keys come back equal, as Python ints."""
     first = [int(str(base + i)) for i in range(6)]
     again = [int(str(base + i)) for i in range(6)]  # equal, distinct objects
     keys = first + again
@@ -147,14 +151,25 @@ def test_interner_stores_the_callers_key_objects(base, prime_table):
     if prime_table:
         interner.intern_batch([7], np.asarray([7], dtype=np.int64))
     interner.intern_batch(keys, EncodedKeyBatch(keys).int_key_array)
-    assert all(owner is key for owner, key in zip(interner.id_to_key[-6:], first))
+    assert interner.keys(len(interner) - 6) == first
     fresh = KeyInterner()
     fresh.intern_many(keys)
-    assert all(owner is key for owner, key in zip(fresh.id_to_key, first))
+    assert fresh.keys() == first
+    assert all(type(key) is int for key in fresh.keys() + interner.keys())
     # Through a sketch's batch insert, too.
     sketch = build_sketch("Ours", 16 * 1024, seed=0)
     sketch.insert_batch(keys)
-    assert all(owner is key for owner, key in zip(sketch._interner.id_to_key, first))
+    assert sketch._interner.keys() == first
+    # str and bytes keys: the caller's own objects, never copies.
+    def make_named():
+        return [f"flow-{base + i}" for i in range(3)] + [b"%d-%d" % (base, i) for i in range(3)]
+
+    named, named_again = make_named(), make_named()  # equal, distinct objects
+    assert all(copy is not key for copy, key in zip(named_again, named))
+    sketch.insert_batch(named + named_again)
+    owners = sketch._interner.keys(len(sketch._interner) - 6)
+    assert all(owner is key for owner, key in zip(owners, named))
+    assert all(sketch._interner.key_of(len(first) + i) is key for i, key in enumerate(named))
 
 
 def test_intern_many_never_allocates_the_table():
@@ -169,7 +184,7 @@ def test_intern_many_keeps_the_scalar_loop_on_bounded_interners():
     loop, many = KeyInterner(4), KeyInterner(4)
     expected = [loop.intern(key) for key in keys]
     assert many.intern_many(keys).tolist() == expected
-    assert many._ids == loop._ids and many.id_to_key == loop.id_to_key
+    assert many._ids == loop._ids and many.keys() == loop.keys()
     with pytest.raises(KeyInternerOverflowError):
         KeyInterner(2).intern_many([1, 2, 3])
 
@@ -207,9 +222,9 @@ def test_slot_keys_round_trip_through_the_codec(keys):
         (arrays["tags"][split:], arrays["lengths"][split:],
          arrays["blob"][int(arrays["lengths"][:split].sum()):]),
     ])
-    assert restored.id_to_key == list(dict.fromkeys(key for key in slots if key is not None))
+    assert restored.keys() == list(dict.fromkeys(key for key in slots if key is not None))
     assert [
-        None if item_id == EMPTY_ID else restored.id_to_key[item_id]
+        None if item_id == EMPTY_ID else restored.key_of(item_id)
         for item_id in restored_ids.tolist()
     ] == slots
     assert restored._table is None
@@ -249,3 +264,64 @@ def test_hashpipe_caches_the_keys_a_failed_batch_interned():
     keys = list(range(10))
     assert sketch.query_batch(keys).tolist() == reference.query_batch(keys).tolist()
     assert [sketch.query(key) for key in keys] == reference.query_batch(keys).tolist()
+
+
+# ------------------------------------------- keys leave as Python objects
+class RecordingHash:
+    """A hash function wrapper that records every key it hashes one by one."""
+
+    def __init__(self, hash_fn):
+        self.hash_fn = hash_fn
+        self.keys = []
+
+    def __call__(self, key):
+        self.keys.append(key)
+        return self.hash_fn(key)
+
+    def index_batch(self, batch):
+        return self.hash_fn.index_batch(batch)
+
+
+def test_keys_read_from_the_column_are_python_ints(monkeypatch):
+    """Elastic's evicted keys, HashPipe's cached keys and top-k replies come
+    from the interner's int64 column as plain ints, never NumPy scalars."""
+    keys = np.arange(0, 40_000, 7, dtype=np.int64) % 5003
+    elastic = build_sketch("Elastic", 1024, seed=0)
+    light = elastic._light_hash = RecordingHash(elastic._light_hash)
+    elastic.insert_batch(keys)
+    for key in keys[:300].tolist():
+        elastic.insert(key)
+    assert elastic.key_interner.column is not None
+    assert light.keys and all(type(key) is int for key in light.keys)
+
+    cached = []
+    real_key_to_bytes, real_batch = hashpipe.key_to_bytes, hashpipe.EncodedKeyBatch
+
+    def record_batch(batch_keys):
+        # insert_batch wraps the caller's ndarray; the cache fill, a list.
+        if isinstance(batch_keys, list):
+            cached.extend(batch_keys)
+        return real_batch(batch_keys)
+
+    monkeypatch.setattr(hashpipe, "key_to_bytes",
+                        lambda key: cached.append(key) or real_key_to_bytes(key))
+    monkeypatch.setattr(hashpipe, "EncodedKeyBatch", record_batch)
+    pipe = HashPipe(2048, seed=0)
+    pipe.insert_batch(keys)
+    pipe.insert(10**6)
+    assert len(cached) == len(pipe.key_interner)
+    assert all(type(key) is int for key in cached)
+
+    config = ServeConfig("Ours", 32 * 1024, seed=0, publish_every_items=10**9)
+    service = config.build_service()
+    service.ingest(keys)
+    service.flush()
+    assert service.key_directory.column is not None
+    with AsyncServingSession(service) as session:
+        client = session.connect()
+        remote, _ = client.top_k(10)
+        client.close()
+        session.shutdown()
+    local = service.top_k(10)
+    assert remote == local
+    assert all(type(key) is int for key, _ in local + remote)

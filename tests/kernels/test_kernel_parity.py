@@ -126,9 +126,9 @@ def _resident(sketch, key_ids):
     the counters pins the full bucket contents of two differently-filled
     sketches.
     """
-    id_to_key = sketch._interner.id_to_key
+    key_of = sketch._interner.key_of
     return [
-        None if item_id == EMPTY_ID else id_to_key[item_id]
+        None if item_id == EMPTY_ID else key_of(item_id)
         for item_id in key_ids.ravel().tolist()
     ]
 

@@ -31,6 +31,7 @@ from repro.distributed.wire import (
     MSG_BATCH,
     MSG_QUERY,
     QUERY_KEYS,
+    WireFormatError,
     encode_batch,
     encode_frame,
     encode_query_request,
@@ -278,7 +279,9 @@ def test_non_positive_value_closes_only_its_connection(tmp_path):
         client = session.connect()
         client.ingest([1, 2, 3])
         hostile = raw_connect(session)
-        hostile.sendall(encode_frame(MSG_BATCH, encode_batch([4, 5], [1, -1])))
+        # encode_batch refuses a non-positive value: set the last one by hand.
+        payload = encode_batch([4, 5], [1, 2])[:-8] + struct.pack("<q", -1)
+        hostile.sendall(encode_frame(MSG_BATCH, payload))
         assert hostile.recv(1) == b""  # hung up on the bad batch
         hostile.close()
         client.flush()
@@ -298,6 +301,54 @@ def test_non_positive_value_closes_only_its_connection(tmp_path):
     restarted = config.build_service()
     assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == [1, 1, 1, 0, 0]
     restarted.close()
+
+
+def test_batch_overflowing_a_bounded_interner_closes_only_its_connection(tmp_path):
+    """The refused batch drops its sender; the loop keeps serving the others,
+    nothing of it is journaled, and the store still warm-starts."""
+    config = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=10**9,
+                         store_dir=str(tmp_path), sketch_kwargs={"max_interned_keys": 4})
+    service = config.build_service()
+    with AsyncServingSession(service) as session:
+        client, other = session.connect(), session.connect()
+        client.ingest([1, 2, 3, 4])
+        client.flush()
+        client.ingest([4, 5])
+        with pytest.raises(WireFormatError, match="closed the channel"):
+            client.query_batch([1])
+        client.close()
+        other.flush()
+        estimates, _ = other.query_batch([1, 2, 3, 4, 5])
+        assert estimates.tolist() == [1, 1, 1, 1, 0]
+        stats = other.stats()
+        other.close()
+        server_stats = session.shutdown()
+    assert server_stats.batches_rejected == 1
+    assert server_stats.frame_errors == 0
+    assert server_stats.closed_error == 1
+    assert stats["store"]["wal_frames_appended"] == 1
+    service.close()
+
+    restarted = config.build_service()
+    assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == [1, 1, 1, 1, 0]
+    restarted.close()
+
+
+def test_non_positive_value_raises_at_the_client_call():
+    """The client learns of a bad value when it sends it; the connection stays up."""
+    with make_session("Ours") as session:
+        client = session.connect()
+        client.ingest([1, 2])
+        for values in ([1, -1], 0):
+            with pytest.raises(WireFormatError, match="non-positive"):
+                client.ingest([3, 4], values)
+        client.flush()
+        estimates, _ = client.query_batch([1, 2, 3, 4])
+        assert estimates.tolist() == [1, 1, 0, 0]
+        client.close()
+        stats = session.shutdown()
+    assert stats.frame_errors == 0
+    assert stats.closed_error == 0
 
 
 # ------------------------------------------------------------- back-pressure

@@ -171,7 +171,7 @@ def test_threaded_top_k_reads_a_consistent_directory(name):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
-    assert service.key_directory.id_to_key == list(dict.fromkeys(keys))
+    assert service.key_directory.keys() == list(dict.fromkeys(keys))
 
 
 def _chain(*callbacks):

@@ -54,7 +54,7 @@ def test_top_k_matches_brute_force():
     epoch = service.flush()
     ranking = service.top_k(10)
     # brute force over the same candidates against the same frozen epoch
-    candidates = list(service.key_directory.id_to_key)
+    candidates = service.key_directory.keys()
     estimates = {key: int(value) for key, value in
                  zip(candidates, epoch.sketch.query_batch(candidates))}
     expected = sorted(candidates, key=lambda key: -estimates[key])[:10]
@@ -164,7 +164,7 @@ def test_directory_keeps_first_contact_order_and_native_keys():
     service.ingest([5, "b", 5, 9, "b"])
     service.ingest(np.asarray([9, 11, 2, 11], dtype=np.int64))
     service.ingest([2, 7, b"x", 13])
-    keys = service.key_directory.id_to_key
+    keys = service.key_directory.keys()
     assert keys == [5, "b", 9, 11, 2, 7, b"x", 13]
     assert all(not isinstance(key, np.generic) for key in keys)
 
@@ -187,7 +187,7 @@ def test_directory_prune_keeps_the_heaviest_published_keys():
     service.flush()  # heavy keys are now visible to the pruning rank
     service.ingest(list(range(1000, 1100)))  # 200 tracked > 164 -> prune
     assert service.directory_prunes == 1
-    assert set(service.key_directory.id_to_key) == set(range(100))
+    assert set(service.key_directory.keys()) == set(range(100))
     stats = service.stats()
     assert stats["distinct_keys_tracked"] == 100
     assert stats["max_tracked_keys"] == 100
@@ -199,9 +199,9 @@ def test_pruned_key_reenters_on_next_ingest():
     service.ingest([key for key in range(100) for _ in range(5)])
     service.flush()
     service.ingest(list(range(1000, 1100)))  # prunes the light keys away
-    assert 1000 not in service.key_directory.id_to_key
+    assert 1000 not in service.key_directory.keys()
     service.ingest([1000])
-    assert 1000 in service.key_directory.id_to_key
+    assert 1000 in service.key_directory.keys()
 
 
 def test_directory_prune_preserves_top_k_contract():
@@ -215,7 +215,7 @@ def test_directory_prune_preserves_top_k_contract():
     assert service.directory_prunes > 0  # the scenario actually prunes
     epoch = service.flush()
     ranking = service.top_k(10)
-    candidates = list(service.key_directory.id_to_key)
+    candidates = service.key_directory.keys()
     estimates = {key: int(value) for key, value in
                  zip(candidates, epoch.sketch.query_batch(candidates))}
     expected = sorted(candidates, key=lambda key: -estimates[key])[:10]
@@ -238,7 +238,7 @@ def test_key_storing_directory_is_the_live_interner(name):
     service.ingest([2, 7, b"x", 13])
     service.ingest(np.arange(20, 30))
     assert service.key_directory is sketch.key_interner
-    keys = service.key_directory.id_to_key
+    keys = service.key_directory.keys()
     assert keys == [5, "b", 9, 11, 2, 7, b"x", 13, *range(20, 30)]
     assert all(not isinstance(key, np.generic) for key in keys)
     assert service.stats()["distinct_keys_tracked"] == len(keys)
@@ -252,7 +252,7 @@ def test_max_tracked_keys_leaves_a_key_storing_directory_whole():
         service.ingest([item.key for item in chunk])
     epoch = service.flush()
     assert service.directory_prunes == 0
-    assert service.key_directory.id_to_key == list(range(300))
+    assert service.key_directory.keys() == list(range(300))
     estimates = epoch.sketch.query_batch(list(range(300))).tolist()
     # Brute force over every interned key; sorted() is stable, so ties keep
     # first-contact order as top_k does.

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.wire import encode_state
+from repro.distributed.wire import encode_batch, encode_state
 from repro.sketches.registry import build_sketch
 from repro.store.format import (
     MAX_WAL_FRAME_BYTES,
@@ -194,8 +194,10 @@ def test_wal_frame_with_a_non_positive_value_is_the_tail():
     then rejected) ends the valid prefix, so recovery never replays it."""
     header = encode_wal_header(1)
     first = encode_wal_frame(["a"], [1])
-    contents = read_wal(header + first + encode_wal_frame([1, 2], [1, -1])
-                        + encode_wal_frame(["b"], [2]))
+    # encode_batch refuses a non-positive value: set the last one by hand.
+    payload = encode_batch([1, 2], [1, 2])[:-8] + struct.pack("<q", -1)
+    bad = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    contents = read_wal(header + first + bad + encode_wal_frame(["b"], [2]))
     assert len(contents.batches) == 1
     assert "non-positive" in contents.tail_error
     assert contents.valid_bytes == len(header) + len(first)

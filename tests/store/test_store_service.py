@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels.interning import KeyInternerOverflowError
 from repro.serve.server import ServeConfig
 from repro.sketches.registry import snapshot_names
 from repro.store import CrashInjectingFileSystem, CrashPlan, InjectedCrash, SketchStore
@@ -138,6 +139,30 @@ def test_non_positive_value_is_rejected_before_journaling(tmp_path):
     restarted.close()
 
 
+@pytest.mark.parametrize("name", ("Ours", "HashPipe"))
+def test_batch_overflowing_a_bounded_interner_is_refused_before_journaling(name, tmp_path):
+    """A batch with more new keys than the interner has room for raises
+    before the journal sees it, so every later warm start still succeeds."""
+    config = ServeConfig(name, 32768, store_dir=str(tmp_path),
+                         sketch_kwargs={"max_interned_keys": 4})
+    service = config.build_service()
+    service.ingest([1, 2, 3, 4])
+    with pytest.raises(KeyInternerOverflowError):
+        service.ingest([5])
+    with pytest.raises(KeyInternerOverflowError):
+        service.ingest(np.asarray([4, 6, 4, 7]))
+    service.ingest([4, 1, 1])  # known keys still fit
+    assert service.stats()["store"]["wal_frames_appended"] == 2
+    assert service.stats()["items_ingested"] == 7
+    service.close()
+
+    restarted = config.build_service()
+    assert restarted.stats()["items_ingested"] == 7
+    restarted.flush()
+    assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == [3, 1, 1, 2, 0]
+    restarted.close()
+
+
 def test_warm_restart_directory_starts_from_restored_candidates(tmp_path):
     """For a family that stores keys the directory is the recovered sketch's
     interner: top_k ranks the restored candidates and the replayed journal
@@ -158,7 +183,7 @@ def test_warm_restart_directory_starts_from_restored_candidates(tmp_path):
 
     restarted = config_for("Ours", tmp_path).build_service()
     assert restarted.stats()["items_ingested"] == reference.stats()["items_ingested"]
-    assert set(heavy + tail) <= set(restarted.key_directory.id_to_key)
+    assert set(heavy + tail) <= set(restarted.key_directory.keys())
     assert restarted.top_k(5) == reference.top_k(5)
     assert [key for key, _ in restarted.top_k(5)] == heavy
     restarted.close()
