@@ -266,11 +266,11 @@ class ReliableSketch(Sketch):
         batch = EncodedKeyBatch(keys)
         count = len(batch)
         value_array = self._batch_values(values, count)
-        self._insert_count += count
         if not count:
             return
-
+        # Interned first: a batch a bounded interner refuses changes nothing.
         item_ids = self._interner.intern_batch(batch.keys, batch.int_key_array)
+        self._insert_count += count
         if self._filter is not None:
             remaining = self._filter.absorb_batch(batch, value_array)
             active = np.flatnonzero(remaining > 0)

@@ -7,10 +7,13 @@ as required by multi-array sketches (CM, CU, Count, ...) and by the per-layer
 hash functions of ReliableSketch.
 
 The batch datapath hashes whole arrays of keys at once: encode a batch once
-with :class:`EncodedKeyBatch`, then feed it to ``HashFunction.raw_batch`` /
-``index_batch`` (or ``SignHashFunction.sign_batch``), which run the NumPy
-murmur kernel :func:`murmur3_32_fixed_batch` per same-length key group and
+with :class:`EncodedKeyBatch`, which also mixes its keys' MurmurHash3
+blocks once (the seed-independent half of the hash), then feed it to
+``HashFunction.raw_batch`` / ``index_batch`` (or
+``SignHashFunction.sign_batch``), which finish the hash per seed and
 produce bit-identical results to the scalar calls.
+:func:`murmur3_32_fixed_batch` is both halves composed over one matrix of
+same-length keys.
 """
 
 from repro.hashing.murmur import murmur3_32, murmur3_32_fixed_batch

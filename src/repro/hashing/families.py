@@ -16,8 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.hashing.murmur import murmur3_32, murmur3_32_fixed_batch
+from repro.hashing.murmur import (
+    mix_key_matrix,
+    murmur3_32,
+    murmur3_finish,
+    murmur3_finish_int,
+    murmur3_mix_int,
+)
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Multiplier of SplitMix64, used to derive per-function seeds from one seed.
@@ -128,6 +135,45 @@ def as_int64_keys(keys: Sequence[object] | np.ndarray) -> np.ndarray | None:
     return ints
 
 
+def _zigzag_codes(ints: np.ndarray) -> np.ndarray:
+    """The ``uint64`` zigzag codes ``(|k| << 1) | (k < 0)`` of int64 keys.
+
+    A key's :func:`key_to_bytes` encoding is its code's little-endian bytes,
+    cut to the key's length.  ``-2^63`` raises ``OverflowError``: its code
+    does not fit 64 bits.
+    """
+    low = int(ints.min()) if ints.size else 0
+    if low == _INT64_MIN:
+        raise OverflowError("-2^63 has no 64-bit zigzag code")
+    if low < 0:
+        return (np.abs(ints).view(np.uint64) << np.uint64(1)) | (ints < 0).view(np.uint8)
+    return ints.view(np.uint64) << np.uint64(1)
+
+
+#: A code's high half is at least ``_HIGH_HALF_BOUNDS[j]`` exactly when its
+#: encoding is longer than ``4 + j`` bytes.
+_HIGH_HALF_BOUNDS = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint32)
+
+
+def _mix_int_keys(ints: np.ndarray) -> tuple:
+    """The seed-independent MurmurHash3 state of an int64 key batch.
+
+    Returns ``(first, high, lengths)`` for :func:`murmur3_finish_int`: the
+    :func:`murmur3_mix_int` state of the two halves of the keys' zigzag
+    codes, and the ``uint32`` encoded lengths, 4 plus the high half's byte
+    count.  ``high`` and ``lengths`` are ``None`` when every code is below
+    ``2^32`` (every key 4 bytes long).
+    """
+    codes = _zigzag_codes(ints)
+    if not codes.size or int(codes.max()) < 1 << 32:
+        return (*murmur3_mix_int(codes.astype(np.uint32), None), None)
+    high = (codes >> np.uint64(32)).astype(np.uint32)
+    lengths = np.full(len(high), 8, dtype=np.uint32)
+    short = np.flatnonzero(high < np.uint32(1 << 24))
+    lengths[short] = np.searchsorted(_HIGH_HALF_BOUNDS, high[short], side="right") + 4
+    return (*murmur3_mix_int(codes.astype(np.uint32), high), lengths)
+
+
 def encode_int_keys(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whole-array :func:`key_to_bytes` of int64 keys in ``(-2^63, 2^63)``.
 
@@ -141,13 +187,7 @@ def encode_int_keys(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     ints = np.asarray(ints, dtype=np.int64)
     count = len(ints)
-    low = int(ints.min()) if count else 0
-    if low == _INT64_MIN:
-        raise OverflowError("-2^63 has no 64-bit zigzag code")
-    if low < 0:
-        codes = (np.abs(ints).view(np.uint64) << np.uint64(1)) | (ints < 0).view(np.uint8)
-    else:
-        codes = ints.view(np.uint64) << np.uint64(1)
+    codes = _zigzag_codes(ints)
     top = int(codes.max()) if count else 0
     lengths = np.full(count, 4, dtype=np.uint32)
     if top < 1 << 32:
@@ -306,43 +346,40 @@ def _keys_from_arrays_per_key(
 
 
 class EncodedKeyBatch:
-    """A batch of stream keys, pre-encoded and grouped for vectorized hashing.
+    """A batch of stream keys, pre-encoded and pre-mixed for vectorized hashing.
 
-    MurmurHash3 is only vectorizable over *same-length* inputs (the block
-    loop depends on the byte length), so the batch groups its keys by encoded
-    length and packs each group into a contiguous ``(n_group, length)``
-    ``uint8`` matrix.  Real workloads (32-bit flow IDs) collapse into a
-    single 4-byte group; mixed key types degrade gracefully into one kernel
-    launch per distinct length.
+    MurmurHash3 mixes each 32-bit block of a key before the seed enters, so
+    the batch mixes its keys' blocks once (:attr:`mixed`) and every hash
+    function of every layer or array only finishes them per seed.  Batches
+    of int keys — an integer ndarray, or a list of plain ints, in
+    ``(-2^63, 2^63)`` — are held as one ``int64`` array (:attr:`int64_keys`)
+    and mixed straight from the two 32-bit halves of their zigzag codes,
+    with no byte matrix and no per-key ``key_to_bytes``; an ndarray batch
+    materialises its Python key list only if a consumer asks for
+    :attr:`keys`.  Every other batch groups its keys by encoded length
+    (the block loop depends on it) and mixes one ``(n_group, length)``
+    ``uint8`` matrix per group.
 
-    The batch is immutable and reusable: every hash function of every layer
-    or array hashes the same encoded matrices, so encoding cost is paid once
-    per item regardless of sketch depth.  Batches of int keys — an integer
-    ndarray, or a list of plain ints, in ``(-2^63, 2^63)`` — are held as one
-    ``int64`` array (:attr:`int64_keys`) and packed by the whole-array int
-    codec (:func:`encode_int_keys`), with no per-key ``key_to_bytes``; an
-    ndarray batch materialises its Python key list only if a consumer asks
-    for :attr:`keys`.
-
-    Constructing an ``EncodedKeyBatch`` from an existing one shares all of
-    its cached state instead of re-encoding, and the batch behaves as a
-    read-only sequence of its original keys.  Together these let a batch be
-    passed anywhere a key sequence is accepted — in particular, a
+    The batch is immutable and reusable.  Constructing an
+    ``EncodedKeyBatch`` from an existing one shares all of its cached state
+    instead of re-encoding, and the batch behaves as a read-only sequence
+    of its original keys.  Together these let a batch be passed anywhere a
+    key sequence is accepted — in particular, a
     :class:`repro.sketches.sharded.ShardedSketch` can route sub-batches into
     its per-shard sketches' ``insert_batch`` without paying the encoding
     twice.
     """
 
     __slots__ = (
-        "_keys", "_encoded", "_groups", "_group_of", "_row_of",
+        "_keys", "_encoded", "_groups", "_mixed", "_group_of", "_row_of",
         "_ints", "_small", "_count", "_parent", "_positions",
     )
 
     def __init__(self, keys: Sequence[object], _encoded: list[bytes] | None = None) -> None:
         if isinstance(keys, EncodedKeyBatch):
-            # Share the donor's cached encodings/groups: re-wrapping a batch
-            # (e.g. a routed sub-batch entering a sketch's insert_batch) must
-            # never redo the per-key encoding work.
+            # Share the donor's cached encodings and mixed blocks:
+            # re-wrapping a batch (e.g. a routed sub-batch entering a
+            # sketch's insert_batch) must never redo the per-key work.
             for name in self.__slots__:
                 setattr(self, name, getattr(keys, name))
             if _encoded is not None:
@@ -359,8 +396,9 @@ class EncodedKeyBatch:
         self._keys = keys
         self._encoded = _encoded
         self._groups: list[tuple[np.ndarray, np.ndarray]] | None = None
-        # Per-position (group id, row within the group matrix) maps, built
-        # with the groups; they make take() a pure matrix-slicing operation.
+        self._mixed = None
+        # Per-position (group id, row within the group) maps of a batch
+        # hashed by length group, built on its first take().
         self._group_of: np.ndarray | None = None
         self._row_of: np.ndarray | None = None
         self._ints = ints
@@ -379,7 +417,7 @@ class EncodedKeyBatch:
         An int ndarray batch builds this list (of Python ints) on first
         access.  Sub-batches built by :meth:`take` defer it too: the
         per-layer hashing of the survivor pipeline only ever touches the
-        packed matrices, so the list is typically never built for
+        mixed blocks, so the list is typically never built for
         intermediate layers.  A sub-batch of a batch whose key list exists
         slices that list, so the caller's key objects survive routing.
         """
@@ -438,85 +476,91 @@ class EncodedKeyBatch:
         """
         return self._ints if self._small else None
 
-    def _int_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Length groups of an int batch, packed by the whole-array int codec.
-
-        Groups come in first-occurrence order of their length, positions
-        ascending: the groups the per-key path builds.
-        """
-        lengths, rows = encode_int_keys(self._ints)
-        if rows.shape[1] == 4:  # every key 4 bytes long: one group
-            return [(np.arange(self._count, dtype=np.intp), rows)]
-        groups = []
-        for length in range(int(lengths.min()), int(lengths.max()) + 1):
-            positions = np.flatnonzero(lengths == length)
-            if positions.size:
-                groups.append((positions, rows[positions, :length]))
-        groups.sort(key=lambda group: group[0][0])
-        return groups
-
     @property
     def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Length groups as ``(original_positions, (n, length) uint8 matrix)``."""
+        """Length groups as ``(positions, (n, length) uint8 matrix)``, built on first use.
+
+        Groups come in first-occurrence order of their length, positions
+        ascending.  Hashing an int batch never builds them.
+        """
         if self._groups is None:
-            if self._ints is not None and self._count:
-                groups = self._int_groups()
-            else:
-                by_length: dict[int, list[int]] = {}
-                for position, encoding in enumerate(self.encoded):
-                    by_length.setdefault(len(encoding), []).append(position)
-                groups = []
-                for length, positions in by_length.items():
-                    packed = b"".join(self.encoded[i] for i in positions)
-                    matrix = np.frombuffer(packed, dtype=np.uint8).reshape(len(positions), length)
-                    groups.append((np.asarray(positions, dtype=np.intp), matrix))
-            self._set_groups(groups)
+            by_length: dict[int, list[int]] = {}
+            for position, encoding in enumerate(self.encoded):
+                by_length.setdefault(len(encoding), []).append(position)
+            groups = []
+            for length, positions in by_length.items():
+                packed = b"".join(self.encoded[i] for i in positions)
+                matrix = np.frombuffer(packed, dtype=np.uint8).reshape(len(positions), length)
+                groups.append((np.asarray(positions, dtype=np.intp), matrix))
+            self._groups = groups
         return self._groups
 
-    def _set_groups(self, groups: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Install groups and the position -> (group, row) reverse maps."""
-        self._groups = groups
-        count = self._count
-        self._group_of = np.empty(count, dtype=np.intp)
-        self._row_of = np.empty(count, dtype=np.intp)
-        for group_id, (positions, _) in enumerate(groups):
-            self._group_of[positions] = group_id
-            self._row_of[positions] = np.arange(len(positions), dtype=np.intp)
+    @property
+    def mixed(self):
+        """The seed-independent MurmurHash3 state of the batch, built once.
+
+        For an int batch, ``(first, high, lengths)`` from the two halves of
+        the keys' zigzag codes (see :func:`_mix_int_keys`).  For any other
+        batch, one ``(positions, length, mixed_words)`` per length group,
+        the words :func:`mix_key_matrix` of the group's matrix.
+        ``HashFunction.raw_batch`` finishes this per seed.
+        """
+        if self._mixed is None:
+            if self._ints is not None:
+                self._mixed = _mix_int_keys(self._ints)
+            else:
+                self._mixed = [
+                    (positions, matrix.shape[1], mix_key_matrix(matrix))
+                    for positions, matrix in self.groups
+                ]
+        return self._mixed
 
     def take(self, positions: Sequence[int]) -> "EncodedKeyBatch":
-        """Sub-batch of the given positions, reusing the packed encodings.
+        """Sub-batch of the given positions, slicing the mixed blocks.
 
         Used by the layered datapath of ReliableSketch: only the items that
-        survive layer ``i`` are re-hashed for layer ``i + 1``.  When the
-        length groups are already packed, the sub-batch's groups are sliced
-        straight out of the parent matrices — no per-key re-encoding or
-        re-packing — and the Python key list is *deferred*: hashing only
-        reads the matrices, so consumers that never touch ``.keys`` (each
-        layer of the survivor pipeline) skip the per-key list construction
-        entirely.
+        survive layer ``i`` are re-hashed for layer ``i + 1``.  The
+        sub-batch's mixed state is sliced straight out of the parent's — no
+        per-key re-encoding or re-mixing — and its Python key list is
+        *deferred*: hashing only reads the mixed blocks, so consumers that
+        never touch ``.keys`` (each layer of the survivor pipeline) skip the
+        per-key list construction entirely.
         """
-        # Force the parent's one-time packing (a no-op if a hash already
-        # triggered it), so sub-batches always slice instead of re-encoding.
-        parent_groups = self.groups
+        # Force the parent's one-time mixing (a no-op if a hash already
+        # triggered it), so sub-batches always slice instead of re-mixing.
+        mixed = self.mixed
         position_array = np.asarray(positions, dtype=np.intp)
         sub = object.__new__(EncodedKeyBatch)
         sub._keys = None
         sub._encoded = None
+        sub._groups = None
+        sub._group_of = None
+        sub._row_of = None
         sub._count = len(position_array)
         sub._parent = self
         sub._positions = position_array
-        sub._ints = None if self._ints is None else self._ints[position_array]
         sub._small = self._small
+        if self._ints is not None:
+            sub._ints = self._ints[position_array]
+            sub._mixed = tuple(
+                None if part is None else part[position_array] for part in mixed
+            )
+            return sub
+        sub._ints = None
+        if self._group_of is None:
+            self._group_of = np.empty(self._count, dtype=np.intp)
+            self._row_of = np.empty(self._count, dtype=np.intp)
+            for group_id, (group_positions, _, _) in enumerate(mixed):
+                self._group_of[group_positions] = group_id
+                self._row_of[group_positions] = np.arange(len(group_positions), dtype=np.intp)
         group_ids = self._group_of[position_array]
         rows = self._row_of[position_array]
-        groups = []
-        for group_id, (_, matrix) in enumerate(parent_groups):
+        sub_mixed = []
+        for group_id, (_, length, words) in enumerate(mixed):
             mask = group_ids == group_id
             if mask.any():
-                groups.append(
-                    (np.nonzero(mask)[0].astype(np.intp), matrix[rows[mask]])
-                )
-        sub._set_groups(groups)
+                sub_mixed.append((np.flatnonzero(mask), length, words[:, rows[mask]]))
+        sub._mixed = sub_mixed
         return sub
 
 
@@ -530,7 +574,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
-    return z & 0xFFFFFFFF
+    return z & _MASK32
 
 
 class HashFunction:
@@ -546,7 +590,7 @@ class HashFunction:
     def __init__(self, seed: int, width: int | None = None) -> None:
         if width is not None and width <= 0:
             raise ValueError("hash width must be positive")
-        self.seed = seed & 0xFFFFFFFF
+        self.seed = seed & _MASK32
         self.width = width
         self.calls = 0
 
@@ -563,24 +607,35 @@ class HashFunction:
         return value % self.width
 
     def raw_batch(self, batch: EncodedKeyBatch) -> np.ndarray:
-        """Raw 32-bit hashes of a whole batch as an ``int64`` array.
+        """Raw 32-bit hashes of a whole batch as a ``uint32`` array.
 
-        Bit-identical to calling :meth:`raw` on each key; the call counter
-        advances by the batch size so that hash-call accounting (Figure 16)
-        matches the scalar path exactly.
+        Bit-identical to calling :meth:`raw` on each key: finishes the
+        batch's :attr:`~EncodedKeyBatch.mixed` blocks for this seed.  The
+        call counter advances by the batch size so that hash-call
+        accounting (Figure 16) matches the scalar path exactly.
         """
         self.calls += len(batch)
-        out = np.empty(len(batch), dtype=np.int64)
-        for positions, matrix in batch.groups:
-            out[positions] = murmur3_32_fixed_batch(matrix, self.seed).astype(np.int64)
+        mixed = batch.mixed
+        if batch.int64_keys is not None:
+            return murmur3_finish_int(*mixed, self.seed)
+        out = np.empty(len(batch), dtype=np.uint32)
+        for positions, length, words in mixed:
+            out[positions] = murmur3_finish(words, length, self.seed)
         return out
 
     def index_batch(self, batch: EncodedKeyBatch) -> np.ndarray:
-        """Bucket indexes of a whole batch (``raw_batch`` reduced mod width)."""
+        """Bucket indexes of a whole batch (``raw_batch`` reduced mod width) as ``int64``."""
         raw = self.raw_batch(batch)
-        if self.width is None:
-            return raw
-        return raw % self.width
+        width = self.width
+        if width is None or width > _MASK32:
+            return raw.astype(np.int64)  # a raw hash is below 2^32
+        # raw - (raw // width) * width in uint32: NumPy divides by a scalar
+        # through a precomputed reciprocal, several times faster than `%`.
+        divisor = np.uint32(width)
+        quotient = raw // divisor
+        quotient *= divisor
+        raw -= quotient
+        return raw.astype(np.int64)
 
     def reset_counter(self) -> None:
         """Zero the call counter (used between measurement phases)."""

@@ -229,8 +229,11 @@ class KeyInterner:
         encoding fast path applies (``EncodedKeyBatch.int_key_array``:
         every key a plain ``int`` in ``[0, 2^31)``); with it, known keys
         resolve through one table gather, or, above the table's key limit,
-        one dict probe, and new keys assign in bulk.
+        one dict probe, and new keys assign in bulk.  A bounded interner
+        refuses a batch that does not fit (:meth:`check_room`) before it
+        assigns any id.
         """
+        self.check_room(keys, int_keys)
         self._id_map()
         if (
             int_keys is not None
@@ -242,21 +245,9 @@ class KeyInterner:
             ids = table[int_keys]
             missing = np.flatnonzero(ids < 0)
             if missing.size:
-                if self.max_keys is None:
-                    self._assign_batch(keys, int_keys, ids, missing)
-                else:
-                    # A bounded interner assigns key by key, so the overflow
-                    # fires at the first key past the bound.
-                    get = self._ids.get
-                    for position in missing.tolist():
-                        key = int(int_keys[position])
-                        item_id = get(key)
-                        if item_id is None:
-                            item_id = self._assign(key)
-                        table[key] = item_id
-                        ids[position] = item_id
+                self._assign_batch(keys, int_keys, ids, missing)
             return ids
-        if int_keys is not None and self._bulk_assigns():
+        if int_keys is not None and self._column is not None:
             return self._intern_ints(keys, int_keys)
         ids = list(map(self._ids.get, keys))
         if None in ids:
@@ -273,13 +264,15 @@ class KeyInterner:
     def intern_many(self, keys: Sequence[object]) -> np.ndarray:
         """Ids of ``keys`` exactly as one :meth:`intern` call per key assigns them.
 
-        Same ids and the same overflow point as that loop, and like it this
-        never allocates the id table — a restored replica must not pay for
-        one.  An unbounded interner resolves a batch of plain ``int`` keys
-        in ``(-2^63, 2^63)`` through the bulk path.
+        Same ids as that loop, and like it this never allocates the id
+        table — a restored replica must not pay for one.  A bounded
+        interner refuses keys that do not fit (:meth:`check_room`) before
+        it assigns any id.  In column form a batch of plain ``int`` keys in
+        ``(-2^63, 2^63)`` resolves through the bulk path.
         """
+        self.check_room(keys)
         self._id_map()
-        if self._bulk_assigns():
+        if self._column is not None:
             int_keys = as_int64_keys(keys)
             if int_keys is not None:
                 return self._intern_ints(keys, int_keys)
@@ -367,15 +360,6 @@ class KeyInterner:
         slot_ids[occupied] = interner.intern_many(list(compress(keys, occupied.tolist())))
         return interner, slot_ids
 
-    def _bulk_assigns(self) -> bool:
-        """Whether new keys may take :meth:`_assign_new`.
-
-        Only for the unbounded interner in column form: ids are then dense
-        stream-order integers, every key is a plain ``int``, and no
-        ``==``-equal non-int alias can hide a key from the id table.
-        """
-        return self.max_keys is None and self._column is not None
-
     def _intern_ints(self, keys: Sequence[object], int_keys: np.ndarray) -> np.ndarray:
         """Bulk interning of plain ``int`` keys through one C-level dict probe."""
         ids = np.fromiter(
@@ -419,10 +403,12 @@ class KeyInterner:
     ) -> None:
         """Assign the batch's table misses in first-contact order.
 
-        For the unbounded interner.  In column form a table miss is provably
-        a brand-new key, so the misses take the bulk :meth:`_assign_new`;
-        in list form the dict is consulted per distinct key — a miss may be
-        a key interned under an ``==``-equal non-int object.
+        The caller has checked that they fit.  In column form a table miss
+        is provably a brand-new key (every key is a plain ``int``, so no
+        ``==``-equal non-int alias can hide one from the table), and the
+        misses take the bulk :meth:`_assign_new`; in list form the dict is
+        consulted per distinct key — a miss may be a key interned under an
+        ``==``-equal non-int object.
         """
         if self._column is not None:
             ids[missing] = self._assign_new(keys, int_keys, missing)

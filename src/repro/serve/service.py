@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.hashing import EncodedKeyBatch
 from repro.kernels.interning import KeyInterner
 from repro.serve.errors import EpochGoneError
 from repro.serve.snapshots import (
@@ -156,10 +155,7 @@ class SketchService:
         # Validated before journaling: a journaled batch the sketch rejects
         # would fail every later recovery.
         Sketch._batch_values(values, len(keys))
-        interner = self._writer.live_sketch.key_interner
-        if interner is not None and interner.max_keys is not None:
-            batch = EncodedKeyBatch(keys)
-            interner.check_room(batch.keys, batch.int_key_array)
+        self._writer.live_sketch.check_room(keys)
         if self._store is not None:
             # Journal first: a batch is either durably in the WAL before it
             # can affect an answer, or (post-crash) absent from both the

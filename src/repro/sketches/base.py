@@ -45,6 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.hashing import EncodedKeyBatch
 from repro.kernels.interning import KeyInterner
 
 #: Default ``insert_stream`` chunk size.  Chunks amortize the per-batch
@@ -107,6 +108,18 @@ class Sketch(abc.ABC):
     def key_interner(self) -> KeyInterner | None:
         """The interner whose ``keys()`` lists this sketch's keys, or ``None`` (read-only)."""
         return self._interner
+
+    def check_room(self, keys: Sequence[object]) -> None:
+        """Raise ``KeyInternerOverflowError`` if ``insert_batch(keys)`` would overflow.
+
+        Refuses a batch with more new keys than a bounded key interner has
+        room for, and changes nothing; ``insert_batch`` refuses the same
+        batches.  A no-op for a sketch without a bounded interner.
+        """
+        interner = self._interner
+        if interner is not None and interner.max_keys is not None:
+            batch = EncodedKeyBatch(keys)
+            interner.check_room(batch.keys, batch.int_key_array)
 
     @abc.abstractmethod
     def insert(self, key: object, value: int = 1) -> None:

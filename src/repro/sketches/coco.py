@@ -94,8 +94,8 @@ class CocoSketch(Sketch):
         value_array = self._batch_values(values, len(batch))
         if not len(batch):
             return
-        indexes = np.stack([hash_fn.index_batch(batch) for hash_fn in self._hashes])
         item_ids = self._interner.intern_batch(batch.keys, batch.int_key_array)
+        indexes = np.stack([hash_fn.index_batch(batch) for hash_fn in self._hashes])
         positions = np.arange(
             self._draws, self._draws + len(batch), dtype=np.int64
         )

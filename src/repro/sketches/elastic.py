@@ -119,8 +119,8 @@ class ElasticSketch(Sketch):
         value_array = self._batch_values(values, len(batch))
         if not len(batch):
             return
-        heavy_indexes = self._heavy_hash.index_batch(batch)
         item_ids = self._interner.intern_batch(batch.keys, batch.int_key_array)
+        heavy_indexes = self._heavy_hash.index_batch(batch)
         light_positions, evicted_ids, evicted_values = self._kernel.elastic_update(
             self._heavy_ids, self._heavy_positive, self._heavy_negative,
             self._heavy_flags, self.eviction_ratio,

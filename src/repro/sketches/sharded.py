@@ -18,9 +18,9 @@ order-dependent sketches too:
 
 The batch datapath is preserved end to end: one vectorized murmur evaluation
 partitions an :class:`~repro.hashing.EncodedKeyBatch`, and each shard
-receives a routed *sub-batch* that reuses the parent batch's packed
-encodings (``EncodedKeyBatch.take``), so keys are encoded once no matter how
-many shards or hash arrays touch them.
+receives a routed *sub-batch* that reuses the parent batch's mixed hash
+blocks (``EncodedKeyBatch.take``), so keys are encoded and mixed once no
+matter how many shards or hash arrays touch them.
 
 :func:`partition_router` is the *single* definition of key->shard
 placement: the distributed coordinator (:mod:`repro.distributed.ingest`)
@@ -65,7 +65,7 @@ def partition_positions(router: HashFunction, batch: EncodedKeyBatch) -> list[np
 
     One vectorized murmur evaluation of the whole batch, then one
     ``np.nonzero`` per shard; ``batch.take(positions)`` turns each position
-    array into a routed sub-batch that reuses the parent's packed encodings.
+    array into a routed sub-batch that reuses the parent's mixed hash blocks.
     """
     shard_ids = router.index_batch(batch)
     return [
@@ -231,15 +231,40 @@ class ShardedSketch(Sketch):
     def query(self, key: object) -> int:
         return self.shards[self._router(key)].query(key)
 
+    def _route(self, batch: EncodedKeyBatch) -> list[tuple[int, np.ndarray, EncodedKeyBatch]]:
+        """``(shard id, positions, sub-batch)`` of every shard ``batch`` reaches."""
+        return [
+            (shard_id, positions, batch.take(positions))
+            for shard_id, positions in enumerate(self._partition(batch))
+            if positions.size
+        ]
+
+    def check_room(self, keys: Sequence[object]) -> None:
+        """Route the batch once and check each shard's room for its sub-batch.
+
+        Skipped when no shard has a bounded interner.  The routing is a
+        check, not a hash the datapath performs, so it is not counted.
+        """
+        if all(
+            shard.key_interner is None or shard.key_interner.max_keys is None
+            for shard in self.shards
+        ):
+            return
+        calls = self._router.calls
+        for shard_id, _, sub in self._route(EncodedKeyBatch(keys)):
+            self.shards[shard_id].check_room(sub)
+        self._router.calls = calls
+
     def insert_batch(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
         batch = EncodedKeyBatch(keys)
         value_array = self._batch_values(values, len(batch))
-        for shard_id, positions in enumerate(self._partition(batch)):
-            if positions.size:
-                self.items_per_shard[shard_id] += positions.size
-                self.shards[shard_id].insert_batch(
-                    batch.take(positions), value_array[positions]
-                )
+        routed = self._route(batch)
+        # Every shard checks first: a batch one shard refuses reaches none.
+        for shard_id, _, sub in routed:
+            self.shards[shard_id].check_room(sub)
+        for shard_id, positions, sub in routed:
+            self.items_per_shard[shard_id] += positions.size
+            self.shards[shard_id].insert_batch(sub, value_array[positions])
 
     def query_batch(self, keys: Sequence[object]) -> np.ndarray:
         batch = EncodedKeyBatch(keys)

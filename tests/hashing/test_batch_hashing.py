@@ -61,6 +61,8 @@ class TestEncodedKeyBatch:
     def test_int_fast_path_matches_generic_encoding(self):
         keys = [0, 1, 2**31 - 1, 12345]
         fast = EncodedKeyBatch(keys)  # stays on the vectorized int path
+        HashFamily(0).draw(8).index_batch(fast.take([3, 0]))
+        assert fast._groups is None  # int batches hash with no byte matrix
         groups = fast.groups
         assert len(groups) == 1
         positions, matrix = groups[0]

@@ -62,17 +62,6 @@ def reference_groups(keys) -> list[tuple[list[int], list[list[int]]]]:
     ]
 
 
-def reference_take_groups(keys, positions: list[int]) -> list[tuple[list[int], list[list[int]]]]:
-    """The per-key path's ``take()``: its parent groups, in order, cut to ``positions``."""
-    index_of = {position: index for index, position in enumerate(positions)}
-    groups = []
-    for members, rows in reference_groups(keys):
-        picked = [(index_of[p], row) for p, row in zip(members, rows) if p in index_of]
-        if picked:
-            groups.append(([index for index, _ in picked], [row for _, row in picked]))
-    return groups
-
-
 def groups_of(batch: EncodedKeyBatch) -> list[tuple[list[int], list[list[int]]]]:
     return [(positions.tolist(), matrix.tolist()) for positions, matrix in batch.groups]
 
@@ -104,12 +93,16 @@ def assert_batch_matches_reference(batch: EncodedKeyBatch, keys: list) -> None:
     assert batch.encoded == [key_to_bytes(key) for key in keys]
     for seed in SEEDS:
         assert HashFunction(seed).raw_batch(batch).tolist() == reference_hashes(keys, seed)
+    # A sub-batch slices its parent's mixed blocks and builds its own
+    # groups only when asked, from its own keys.
     positions = np.arange(0, len(keys), 2)
     sub = batch.take(positions)
     sub_keys = [keys[i] for i in positions.tolist()]
-    assert groups_of(sub) == reference_take_groups(keys, positions.tolist())
+    for seed in SEEDS:
+        assert HashFunction(seed).raw_batch(sub).tolist() == reference_hashes(sub_keys, seed)
     assert list(sub.keys) == sub_keys
     assert sub.encoded == [key_to_bytes(key) for key in sub_keys]
+    assert groups_of(sub) == reference_groups(sub_keys)
 
 
 # ----------------------------------------------------------------- the helpers

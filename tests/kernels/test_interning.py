@@ -20,6 +20,7 @@ from repro.serve.server import ServeConfig
 from repro.sketches import hashpipe
 from repro.sketches.hashpipe import HashPipe
 from repro.sketches.registry import build_sketch
+from repro.sketches.sharded import ShardedSketch
 
 
 def test_unbounded_by_default():
@@ -75,6 +76,43 @@ def test_sketch_level_bound_surfaces_cleanly(name):
     sketch = build_sketch(name, 16 * 1024, seed=0, max_interned_keys=50)
     with pytest.raises(KeyInternerOverflowError):
         sketch.insert_batch(list(range(500)))
+
+
+@pytest.mark.parametrize("name", ("Ours", "Ours(Raw)", "Elastic", "Coco", "HashPipe", "PRECISION"))
+@pytest.mark.parametrize("refused", ([1, 2, 3, 4, 5], ["a", "b", 2, "c", "d"]))
+def test_a_refused_batch_changes_nothing(name, refused):
+    """A bounded interner refuses the batch before it assigns an id, so the
+    sketch's counts, its interner and its key directory stay as they were."""
+    sketch = build_sketch(name, 16 * 1024, seed=0, max_interned_keys=3)
+    sketch.insert_batch([2, 2])
+
+    def state():
+        counts = sketch.operation_counts() if hasattr(sketch, "operation_counts") else None
+        interner = sketch.key_interner
+        return counts, sketch.hash_calls(), len(interner), interner.keys()
+
+    before = state()
+    assert before[2:] == (1, [2])
+    with pytest.raises(KeyInternerOverflowError):
+        sketch.insert_batch(refused)
+    assert state() == before
+    with pytest.raises(KeyInternerOverflowError):
+        sketch.check_room(refused)
+    sketch.check_room([2, 7, 7, 8])  # two new keys fit
+    assert state() == before
+    assert sketch.query_batch([2, 1]).tolist() == [2, 0]
+
+
+def test_a_sharded_batch_one_shard_refuses_reaches_no_shard():
+    sketch = ShardedSketch.from_registry("Ours", 32 * 1024, 2, seed=0, max_interned_keys=2)
+    keys = list(range(40))
+    with pytest.raises(KeyInternerOverflowError):
+        sketch.check_room(keys)
+    with pytest.raises(KeyInternerOverflowError):
+        sketch.insert_batch(keys)
+    assert [len(shard.key_interner) for shard in sketch.shards] == [0, 0]
+    assert sketch.items_per_shard.tolist() == [0, 0]
+    assert sum(shard.hash_calls() for shard in sketch.shards) == 0
 
 
 def test_bounded_sketch_keeps_answering_after_overflow():
@@ -251,11 +289,11 @@ def test_queries_never_grow_the_interner(name):
 
 
 def test_hashpipe_caches_the_keys_a_failed_batch_interned():
-    """Ids assigned before an overflow get their stage cells on the next insert."""
+    """A refused batch interns no key; the keys interned next get their stage cells."""
     sketch = HashPipe(2048, seed=0, max_interned_keys=8)
     with pytest.raises(KeyInternerOverflowError):
         sketch.insert_batch(list(range(10)))
-    assert len(sketch._interner) == 8
+    assert len(sketch._interner) == 0
     reference = HashPipe(2048, seed=0)
     sketch.insert(3, 2)
     reference.insert(3, 2)

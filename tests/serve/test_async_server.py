@@ -334,6 +334,36 @@ def test_batch_overflowing_a_bounded_interner_closes_only_its_connection(tmp_pat
     restarted.close()
 
 
+def test_batch_a_shard_refuses_closes_only_its_connection(tmp_path):
+    """A sharded service refuses, before journaling, a batch that overflows one
+    shard's interner: its sender is dropped and the store still warm-starts."""
+    config = ServeConfig("Ours", MEMORY, seed=0, shards=2, publish_every_items=10**9,
+                         store_dir=str(tmp_path), sketch_kwargs={"max_interned_keys": 2})
+    service = config.build_service()
+    with AsyncServingSession(service) as session:
+        client, other = session.connect(), session.connect()
+        client.ingest([1, 2])
+        client.flush()
+        client.ingest(list(range(3, 12)))
+        with pytest.raises(WireFormatError, match="closed the channel"):
+            client.query_batch([1])
+        client.close()
+        other.flush()
+        estimates, _ = other.query_batch([1, 2, 3])
+        assert estimates.tolist() == [1, 1, 0]
+        stats = other.stats()
+        other.close()
+        server_stats = session.shutdown()
+    assert server_stats.batches_rejected == 1
+    assert server_stats.closed_error == 1
+    assert stats["store"]["wal_frames_appended"] == 1
+    service.close()
+
+    restarted = config.build_service()
+    assert restarted.query_batch([1, 2, 3]).tolist() == [1, 1, 0]
+    restarted.close()
+
+
 def test_non_positive_value_raises_at_the_client_call():
     """The client learns of a bad value when it sends it; the connection stays up."""
     with make_session("Ours") as session:

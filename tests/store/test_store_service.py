@@ -163,6 +163,26 @@ def test_batch_overflowing_a_bounded_interner_is_refused_before_journaling(name,
     restarted.close()
 
 
+def test_sharded_batch_a_shard_refuses_is_not_journaled(tmp_path):
+    """The service checks every shard's interner before journaling, so a
+    batch one shard refuses never reaches the WAL and warm starts succeed."""
+    config = ServeConfig("Ours", 32768, shards=2, store_dir=str(tmp_path),
+                         sketch_kwargs={"max_interned_keys": 2})
+    service = config.build_service()
+    service.ingest([1, 2])
+    with pytest.raises(KeyInternerOverflowError):
+        service.ingest(list(range(3, 12)))
+    assert service.stats()["store"]["wal_frames_appended"] == 1
+    assert service.stats()["items_ingested"] == 2
+    service.close()
+
+    restarted = config.build_service()
+    assert restarted.stats()["items_ingested"] == 2
+    restarted.flush()
+    assert restarted.query_batch([1, 2, 3]).tolist() == [1, 1, 0]
+    restarted.close()
+
+
 def test_warm_restart_directory_starts_from_restored_candidates(tmp_path):
     """For a family that stores keys the directory is the recovered sketch's
     interner: top_k ranks the restored candidates and the replayed journal
