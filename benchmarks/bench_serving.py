@@ -1,8 +1,9 @@
-"""Online-serving benchmark — per-transport closed loop plus concurrency sweep.
+"""Online-serving benchmark — closed loop plus concurrency sweep.
 
-**Closed loop** (the original section): for every (transport × algorithm)
-pair, launches one remote :func:`repro.serve.server.serve_main` endpoint
-over the transport, then drives it with the closed-loop load generator
+**Closed loop** (the original section): for every algorithm, serves one
+service behind the TCP event loop of ``repro-cli serve``
+(:class:`~repro.serve.async_server.AsyncSketchServer`, on a background
+thread) and drives it over loopback TCP with the closed-loop load generator
 (:mod:`repro.serve.loadgen`): a Zipf key mix at a configurable read/write
 ratio, one outstanding operation at a time.  Each row of
 ``BENCH_serving.json`` records:
@@ -14,7 +15,9 @@ ratio, one outstanding operation at a time.  Each row of
 * ``epoch_consistent`` — both correctness signals of the load generator
   held: repeat reads within one epoch were bit-identical (no torn reads)
   and the final epoch's answers equal a local reference sketch fed the
-  identical write stream (CI asserts this flag on every row).
+  identical write stream (CI asserts this flag on every row);
+* ``drained`` and ``frame_errors`` — the server's own shutdown stats: the
+  drain finished and no malformed frame arrived.
 
 **Concurrency** (the ``"concurrency"`` section): pre-loads one service,
 then sweeps client counts over tcp against the selector event loop that
@@ -60,7 +63,7 @@ Not collected by pytest (the module name avoids the ``test_`` prefix); run
 it directly::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
-    PYTHONPATH=src python benchmarks/bench_serving.py --operations 500 --transports inproc
+    PYTHONPATH=src python benchmarks/bench_serving.py --operations 500 --algorithms Ours
     PYTHONPATH=src python benchmarks/bench_serving.py --skip-closed-loop \\
         --concurrency-clients 1,8 --concurrency-requests 400
     PYTHONPATH=src python benchmarks/bench_serving.py --skip-closed-loop \\
@@ -88,14 +91,13 @@ from repro.serve.loadgen import (
     run_loadgen,
     run_open_loop,
 )
-from repro.serve.server import ServeConfig, ServingSession
+from repro.serve.server import ServeConfig
 from repro.sketches.registry import build_sketch
 from repro.streams.synthetic import ZipfGenerator
 
 #: Families benchmarked by default: the cheapest mergeable baseline, the
 #: order-dependent CU, and the paper's sketch — all snapshot-rotated.
 ALGORITHMS = ("CM_fast", "CU_fast", "Ours")
-DEFAULT_TRANSPORTS = ("inproc", "pipe", "tcp")
 
 DEFAULT_OPERATIONS = 4000
 DEFAULT_READ_RATIO = 0.5
@@ -130,8 +132,8 @@ TEMPORAL_ONE_CORE_NOTE = (
 )
 
 
-def bench_pair(transport: str, algorithm: str, args) -> dict:
-    """One load-generation run against one remote service."""
+def bench_closed_loop(algorithm: str, args) -> dict:
+    """One closed-loop load-generation run against one served sketch."""
     serve_config = ServeConfig(
         algorithm,
         args.memory_bytes,
@@ -148,13 +150,22 @@ def bench_pair(transport: str, algorithm: str, args) -> dict:
         seed=args.seed,
     )
     reference = build_sketch(algorithm, args.memory_bytes, seed=args.seed)
-    with ServingSession(serve_config, transport) as session:
-        report = run_loadgen(session.client, load_config, reference=reference)
-        wire_out, wire_in = session.client.bytes_sent, session.client.bytes_received
-    row = {"transport": transport, "algorithm": algorithm, **report.to_row()}
-    row["bytes_sent"] = wire_out
-    row["bytes_received"] = wire_in
-    return row
+    session = AsyncServingSession(serve_config.build_service())
+    try:
+        client = session.connect()
+        report = run_loadgen(client, load_config, reference=reference)
+        client.close()
+    finally:
+        stats = session.shutdown()
+    return {
+        "transport": "tcp",
+        "algorithm": algorithm,
+        **report.to_row(),
+        "bytes_sent": client.bytes_sent,
+        "bytes_received": client.bytes_received,
+        "drained": stats.drained,
+        "frame_errors": stats.frame_errors,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +535,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="served sketch memory budget (default: %(default)s)")
     parser.add_argument("--publish-every", type=int, default=DEFAULT_PUBLISH_EVERY,
                         help="epoch length in items (default: %(default)s)")
-    parser.add_argument("--transports", default=",".join(DEFAULT_TRANSPORTS),
-                        help="comma-separated backends (default: %(default)s)")
     parser.add_argument("--algorithms", default=",".join(ALGORITHMS),
                         help="comma-separated registry names (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="schedule / hash seed")
@@ -573,9 +582,9 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_TEMPORAL_EPOCH_ITEMS,
                         help="items per temporal epoch (default: %(default)s)")
     parser.add_argument("--skip-concurrency", action="store_true",
-                        help="run only the closed-loop transport section")
+                        help="skip the concurrency sweep")
     parser.add_argument("--skip-closed-loop", action="store_true",
-                        help="run only the concurrency section")
+                        help="skip the closed-loop section")
     parser.add_argument("--skip-warm-restart", action="store_true",
                         help="skip the durable-store restart section")
     parser.add_argument("--skip-temporal", action="store_true",
@@ -584,7 +593,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=Path(__file__).resolve().parent.parent / "BENCH_serving.json",
                         help="output JSON path (default: repo root)")
     args = parser.parse_args(argv)
-    transports = tuple(name for name in args.transports.split(",") if name)
     algorithms = tuple(name for name in args.algorithms.split(",") if name)
     args.concurrency_client_counts = tuple(
         int(name) for name in args.concurrency_clients.split(",") if name
@@ -602,18 +610,18 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     if not args.skip_closed_loop:
         for algorithm in algorithms:
-            for transport in transports:
-                row = bench_pair(transport, algorithm, args)
-                rows.append(row)
-                print(
-                    f"{transport:>7} {algorithm:>8}: {row['ops_per_second']:>8,.0f} ops/s "
-                    f"({row['keys_read_per_second']:,.0f} keys/s read, "
-                    f"{row['items_written_per_second']:,.0f} items/s write), "
-                    f"p50 {row['read_latency_p50_ms']:.3f} ms, "
-                    f"p99 {row['read_latency_p99_ms']:.3f} ms, "
-                    f"staleness {row['mean_staleness_items']:,.0f} items, "
-                    f"epoch_consistent={row['epoch_consistent']}"
-                )
+            row = bench_closed_loop(algorithm, args)
+            rows.append(row)
+            print(
+                f"{algorithm:>8}: {row['ops_per_second']:>8,.0f} ops/s "
+                f"({row['keys_read_per_second']:,.0f} keys/s read, "
+                f"{row['items_written_per_second']:,.0f} items/s write), "
+                f"p50 {row['read_latency_p50_ms']:.3f} ms, "
+                f"p99 {row['read_latency_p99_ms']:.3f} ms, "
+                f"staleness {row['mean_staleness_items']:,.0f} items, "
+                f"epoch_consistent={row['epoch_consistent']}, "
+                f"drained={row['drained']}"
+            )
 
     concurrency = None
     if not args.skip_concurrency:

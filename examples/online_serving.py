@@ -5,8 +5,9 @@ an operator asks for per-flow estimates and heavy hitters *while* the
 stream is being absorbed.  This example runs the whole serving stack in a
 few lines:
 
-1. launch a remote ReliableSketch service over the TCP transport (real
-   sockets, one command-equivalent of ``repro-cli serve``);
+1. serve a ReliableSketch behind the TCP event loop that ``repro-cli
+   serve`` runs (real sockets, on a background thread) and connect a
+   client to it;
 2. stream writes to it while reading concurrently, observing epoch
    rotation and bounded staleness;
 3. verify the serving contract: answers stamped with epoch E are
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import os
 
-from repro.serve import LoadGenConfig, ServeConfig, ServingSession, run_loadgen
+from repro.serve import AsyncServingSession, LoadGenConfig, ServeConfig, run_loadgen
 from repro.sketches.registry import build_sketch
 from repro.streams.synthetic import zipf_stream
 
@@ -35,8 +36,8 @@ def main() -> None:
     stream = zipf_stream(int(40_000 * SCALE) or 2000, skew=1.2, seed=11)
     reference = build_sketch("Ours", MEMORY_BYTES, seed=0)
 
-    with ServingSession(config, transport="tcp") as session:
-        client = session.client
+    with AsyncServingSession(config.build_service()) as session:
+        client = session.connect()
 
         # --- writes and reads interleaved -------------------------------
         for chunk in stream.iter_batches(1024):
@@ -78,6 +79,7 @@ def main() -> None:
             f"{report.epochs_published} epochs rotated, "
             f"epoch-consistent reads: {report.epoch_consistent}"
         )
+        client.close()
 
 
 if __name__ == "__main__":

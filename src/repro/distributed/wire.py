@@ -72,7 +72,7 @@ _FRAME_HEADER = struct.Struct(">2sBBI")
 FRAME_HEADER_SIZE = _FRAME_HEADER.size  # 8 bytes
 
 # Message types.
-MSG_CONFIG = 1  # collector -> worker / server: configuration JSON
+MSG_CONFIG = 1  # collector -> worker: configuration JSON
 MSG_BATCH = 2  # client -> server: one key/value chunk to ingest
 MSG_SNAPSHOT_REQUEST = 3  # collector -> worker: send your state
 MSG_SNAPSHOT = 4  # worker -> collector: sketch state + ingest stats

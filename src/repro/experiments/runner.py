@@ -76,19 +76,6 @@ class ExperimentSettings:
     #: kinds stays comparable.  Purely an execution knob: results never
     #: change, only where the ingest work runs.
     transport: str | None = None
-    #: Epoch length of the serving layer, in items; ``None`` fills sketches
-    #: directly.  When set, the local fill runs through the epoch writer of
-    #: ``repro.serve.snapshots`` (publishing an immutable snapshot every
-    #: ``epoch_items`` absorbed items) and the evaluated sketch is the final
-    #: *published epoch* after a flush — bit-identical to the direct fill,
-    #: because a flush publishes the complete state (pinned by
-    #: ``tests/serve/test_snapshots.py``).  Another pure execution knob: it
-    #: exercises the serving path inside any experiment without changing a
-    #: single number.  Mutually exclusive with ``transport`` (the remote
-    #: fill's epoch structure lives on the workers, not here): combining
-    #: the two raises instead of silently ignoring one — the same policy
-    #: the CLI applies to its flags.
-    epoch_items: int | None = None
     #: Extra keyword arguments forwarded to the sketch constructors.
     sketch_kwargs: dict = field(default_factory=dict)
 
@@ -153,11 +140,6 @@ def _fill_sketch(
     (the non-mergeable families) take the local path over the identical
     partition, which produces the same state remote ingest would.
     """
-    if settings.transport is not None and settings.epoch_items is not None:
-        raise ValueError(
-            "epoch_items cannot be combined with transport: the remote fill "
-            "has no local epoch writer to rotate (drop one of the two knobs)"
-        )
     if settings.transport is not None:
         from repro.distributed.ingest import DEFAULT_CHUNK_SIZE, run_dynamic_ingest
         from repro.sketches.registry import supports_snapshots
@@ -175,15 +157,6 @@ def _fill_sketch(
             )
             return result.sharded()
     sketch = _sketch_factory(name, settings)(memory_bytes)
-    if settings.epoch_items is not None:
-        from repro.serve.snapshots import EpochWriter
-        from repro.streams.items import iter_key_value_chunks
-
-        writer = EpochWriter(sketch, publish_every_items=settings.epoch_items)
-        chunk_size = settings.batch_size or settings.epoch_items
-        for keys, values in iter_key_value_chunks(stream, chunk_size):
-            writer.ingest(keys, values)
-        return writer.publish().sketch
     sketch.insert_stream(stream, batch_size=settings.batch_size)
     return sketch
 
@@ -399,14 +372,15 @@ def run_windowed_fill(
     """Fill one sketch through the epoch writer, keeping *every* published
     snapshot (not just the final one) for windowed evaluation.
 
-    The fill is bit-identical to ``epoch_items``-mode :func:`run_sketch`
-    (same writer, same chunking), but instead of evaluating the final epoch
-    it returns the whole publish history: for subtractable families (CM and
-    Count) the table difference of any two snapshots equals a fresh sketch
-    fed only the stream slice between their publishes, and
+    The final published epoch is bit-identical to the direct fill of
+    :func:`run_sketch` (a flush publishes the complete state; pinned by
+    ``tests/serve/test_snapshots.py``), but instead of evaluating only that
+    epoch it returns the whole publish history: for subtractable families
+    (CM and Count) the table difference of any two snapshots equals a fresh
+    sketch fed only the stream slice between their publishes, and
     :meth:`WindowedFill.window_counts` supplies the matching exact truth.
-    A purely local path — the remote fill's epoch structure lives on the
-    workers, so ``settings.transport`` is rejected like ``epoch_items``.
+    A purely local path: the remote fill's epoch structure lives on the
+    workers, so ``settings.transport`` is rejected.
     """
     from repro.serve.snapshots import EpochWriter
     from repro.streams.items import iter_key_value_chunks

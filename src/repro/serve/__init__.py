@@ -14,14 +14,14 @@ reader observe a half-applied update:
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.SketchService`:
   the query front end (``query`` / ``query_batch`` / ``top_k`` / ``stats``),
   every answer computed against the epoch it is stamped with.
-* :mod:`repro.serve.server` — request/response framing layered on the
-  distributed ``Transport`` protocol, so the same inproc/pipe/tcp backends
-  that ship ingest batches also serve remote queries, plus the client
-  behind ``repro-cli query``.
-* :mod:`repro.serve.async_server` — the one TCP front end
-  (``repro-cli serve``): a selector event loop multiplexing every live
+* :mod:`repro.serve.server` — the service config, the request path every
+  remote answer takes (``answer_request``, the in-process service call
+  behind a query frame), and the client behind ``repro-cli query``.
+* :mod:`repro.serve.async_server` — the one server loop, the TCP front end
+  of ``repro-cli serve``: a selector event loop multiplexing every live
   connection over one shared service, with pipelined frames, bounded
   in-flight admission control (typed BUSY replies) and graceful drain.
+  ``AsyncServingSession`` runs it on a thread and dials clients to it.
 * :mod:`repro.serve.loadgen` — load generation: a closed-loop generator
   (Zipf key mix, configurable read/write ratio) and an open-loop
   multi-client harness (target-qps Poisson arrivals, per-request latency),
@@ -47,16 +47,13 @@ from repro.serve.loadgen import (
     run_loadgen,
     run_open_loop,
 )
-from repro.serve.errors import EpochGoneError, QueryRejectedError
+from repro.serve.errors import EpochGoneError, QueryRejectedError, ServerBusyError
 from repro.serve.server import (
     QueryClient,
     RetryPolicy,
     ServeConfig,
-    ServerBusyError,
     ServeTimeoutError,
-    ServingSession,
     create_listener,
-    serve_main,
 )
 from repro.serve.service import SketchService
 from repro.serve.snapshots import EpochSnapshot, EpochWriter, replicate_sketch
@@ -78,11 +75,9 @@ __all__ = [
     "ServeConfig",
     "ServerBusyError",
     "ServeTimeoutError",
-    "ServingSession",
     "SketchService",
     "create_listener",
     "replicate_sketch",
     "run_loadgen",
     "run_open_loop",
-    "serve_main",
 ]

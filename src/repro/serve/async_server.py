@@ -25,8 +25,7 @@ The moving parts, in the order a request meets them::
 * **Pipelining**: a connection may have any number of requests in flight;
   every parsed query claims a *reply slot* in arrival order, and slots are
   written out strictly in order — so answers (including BUSY rejections)
-  always match the request sequence, exactly like a
-  :func:`~repro.serve.server.serve_channel` session.
+  always match the request sequence.
 * **Admission control**: at most ``max_inflight`` queries may be queued
   globally.  A query parsed beyond the bound is answered immediately with
   a typed :data:`~repro.distributed.wire.STATUS_BUSY` reply (wire v2) and
@@ -35,9 +34,8 @@ The moving parts, in the order a request meets them::
 * **The single-writer epoch path is untouched**: the event loop is the one
   thread that calls ``service.ingest``/``flush``, and reads are answered
   from the latest published :class:`~repro.serve.snapshots.EpochSnapshot`
-  via the same :func:`~repro.serve.server.answer_request` as the
-  transport-launched :func:`~repro.serve.server.serve_main` — answers are
-  bit-identical by construction (pinned by
+  via :func:`~repro.serve.server.answer_request` — each answer is
+  bit-identical to the in-process :class:`SketchService` call (pinned by
   ``tests/serve/test_async_server.py``).
 * **Graceful drain** (:meth:`AsyncSketchServer.shutdown`): stop accepting,
   finish every queued request, flush every write buffer (bounded by

@@ -1,4 +1,4 @@
-"""Remote serving: the query loop and client over the distributed transports.
+"""Remote serving: the request codec, the service config and the client.
 
 The serving layer deliberately reuses the distributed-ingest machinery
 instead of growing its own networking stack:
@@ -9,18 +9,16 @@ instead of growing its own networking stack:
 * **Reads** travel as the new ``MSG_QUERY``/``MSG_QUERY_REPLY`` frames
   (:mod:`repro.distributed.wire`), each reply stamped with the epoch id
   that answered it.
-* **Transports** are the same ``inproc``/``pipe``/``tcp`` backends: a
-  channel is a channel, whether it carries ingest batches or queries.
+* **Channels** are the distributed layer's: a :class:`QueryClient` speaks
+  over any :class:`~repro.distributed.transport.Channel`, in practice the
+  TCP socket channel a server connection hands out.
 
-:func:`serve_main` is the server-side event loop (symmetric to
-``ingest.dynamic_worker_main``): stateless until a CONFIG frame describes
-the service, then ingesting batches and answering queries until the
-channel closes.  :class:`QueryClient` is the caller side.  :class:`ServingSession`
-wires one server behind any transport backend and hands back a connected
-client — the entry point of ``benchmarks/bench_serving.py``.  The TCP
-front end of ``repro-cli serve`` is
-:class:`~repro.serve.async_server.AsyncSketchServer`, which answers with
-the same :func:`answer_request`.
+:class:`ServeConfig` builds the served :class:`SketchService`,
+:func:`answer_request` answers one query frame against it, and
+:class:`QueryClient` is the caller side.  The one server loop is
+:class:`~repro.serve.async_server.AsyncSketchServer` (the TCP front end of
+``repro-cli serve``); :class:`~repro.serve.async_server.AsyncServingSession`
+runs it on a thread and dials clients to it.
 """
 
 from __future__ import annotations
@@ -29,23 +27,16 @@ import random
 import socket
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.distributed.transport import (
-    Channel,
-    ChannelTimeoutError,
-    Transport,
-    create_transport,
-)
+from repro.distributed.transport import Channel, ChannelTimeoutError
 from repro.distributed.wire import (
     MSG_BATCH,
-    MSG_CONFIG,
     MSG_QUERY,
     MSG_QUERY_REPLY,
-    MSG_SHUTDOWN,
     QUERY_FLUSH,
     QUERY_KEYS,
     QUERY_STATS,
@@ -55,25 +46,17 @@ from repro.distributed.wire import (
     STATUS_OK,
     QueryResponse,
     WireFormatError,
-    decode_batch,
-    decode_config,
+    # Unused here: the traced pipeline benchmark wraps ``server.decode_batch``.
+    decode_batch,  # noqa: F401
     decode_frame,
     decode_query_request,
     decode_query_response,
     encode_batch,
-    encode_config,
     encode_frame,
     encode_query_request,
     encode_query_response,
 )
-# Typed rejection errors live in their own module (the temporal ring raises
-# EpochGoneError without touching the transport stack); re-exported here
-# because this is where callers historically imported ServerBusyError from.
-from repro.serve.errors import (  # noqa: F401  (re-exports)
-    EpochGoneError,
-    QueryRejectedError,
-    ServerBusyError,
-)
+from repro.serve.errors import EpochGoneError, QueryRejectedError, ServerBusyError
 from repro.serve.service import SketchService
 from repro.serve.snapshots import DEFAULT_PUBLISH_EVERY_ITEMS, EpochSnapshot
 from repro.temporal import DEFAULT_RING_EPOCHS
@@ -161,13 +144,13 @@ def create_listener(host: str, port: int, backlog: int = 128) -> socket.socket:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything a remote server needs to build its :class:`SketchService`.
+    """Everything a server needs to build its :class:`SketchService`.
 
-    Travels as the first frame on a serving channel (the serving analogue of
-    ``ingest.DynamicWorkerConfig``), so a TCP server process can be started
-    with nothing but a listen address.  ``shards > 1`` builds the service
-    over a :class:`~repro.sketches.sharded.ShardedSketch` of full-budget
-    replicas.
+    ``repro-cli serve`` builds one from its flags and serves
+    :meth:`build_service` behind
+    :class:`~repro.serve.async_server.AsyncSketchServer`.  ``shards > 1``
+    builds the service over a :class:`~repro.sketches.sharded.ShardedSketch`
+    of full-budget replicas.
 
     ``store_dir`` makes the service durable: :meth:`build_service` opens a
     :class:`~repro.store.SketchStore` there, recovers the newest valid
@@ -190,19 +173,6 @@ class ServeConfig:
     store_dir: str | None = None
     ring_epochs: int = DEFAULT_RING_EPOCHS
     sketch_kwargs: dict = field(default_factory=dict)
-
-    def to_payload(self) -> bytes:
-        return encode_config(asdict(self))
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "ServeConfig":
-        """Inverse of :meth:`to_payload`; keys it does not know are ignored."""
-        config = decode_config(payload)
-        for required in ("algorithm", "memory_bytes"):
-            if required not in config:
-                raise WireFormatError(f"serve config is missing {required!r}")
-        known = {item.name for item in fields(cls)}
-        return cls(**{name: value for name, value in config.items() if name in known})
 
     def build_sketch(self) -> Sketch:
         if self.shards > 1:
@@ -295,15 +265,14 @@ class ServeConfig:
 def answer_request(service: SketchService, payload: bytes) -> bytes:
     """Decode one MSG_QUERY payload, serve it, encode the MSG_QUERY_REPLY.
 
-    Shared by both server front ends (the transport-launched
-    ``serve_main`` and the async TCP event loop behind ``repro-cli
-    serve``), so request semantics cannot drift between deployment
-    shapes — including the
-    temporal extension: pinned-epoch and windowed reads resolve against
-    the service's ring here, and a request naming an evicted epoch gets a
-    typed :data:`~repro.distributed.wire.STATUS_EPOCH_GONE` reply (echoing
-    the requested epoch) on every front end.  A windowed read on a family
-    without the delta contract is a protocol violation and raises
+    The one request path of the TCP event loop behind ``repro-cli serve``:
+    every remote answer is the in-process :class:`SketchService` answer to
+    the same call.  That includes the temporal extension: pinned-epoch and
+    windowed reads resolve against the service's ring here, and a request
+    naming an evicted epoch gets a typed
+    :data:`~repro.distributed.wire.STATUS_EPOCH_GONE` reply (echoing the
+    requested epoch).  A windowed read on a family without the delta
+    contract is a protocol violation and raises
     :class:`~repro.distributed.wire.WireFormatError`, like any other
     malformed request.
     """
@@ -346,49 +315,6 @@ def answer_request(service: SketchService, payload: bytes) -> bytes:
     # QUERY_FLUSH — decode_query_request already rejected unknown kinds.
     epoch = service.flush()
     return encode_query_response(request.request_id, QUERY_FLUSH, epoch.epoch_id)
-
-
-def serve_channel(channel: Channel, service: SketchService) -> None:
-    """Serve one configured channel until it closes (or SHUTDOWN arrives)."""
-    while True:
-        frame = channel.recv()
-        if frame is None:
-            break
-        msg_type, payload = decode_frame(frame)
-        if msg_type == MSG_BATCH:
-            batch, values = decode_batch(payload)
-            service.ingest(batch, values)
-        elif msg_type == MSG_QUERY:
-            channel.send(encode_frame(MSG_QUERY_REPLY, answer_request(service, payload)))
-        elif msg_type == MSG_SHUTDOWN:
-            break
-        else:
-            raise WireFormatError(
-                f"unexpected message type {msg_type} on a serving channel"
-            )
-
-
-def serve_main(channel: Channel) -> None:
-    """The remote server's event loop (same code on every transport).
-
-    Frames in: CONFIG (build the service), BATCH (ingest through the epoch
-    writer), QUERY (answer from the latest published epoch),
-    SHUTDOWN / EOF (exit).  Mirrors ``ingest.dynamic_worker_main`` — and is
-    launchable by any ``Transport`` the same way.
-    """
-    frame = channel.recv()
-    if frame is None:
-        channel.close()
-        return
-    msg_type, payload = decode_frame(frame)
-    if msg_type != MSG_CONFIG:
-        channel.close()
-        raise WireFormatError("serving channel must start with a CONFIG frame")
-    service = ServeConfig.from_payload(payload).build_service()
-    try:
-        serve_channel(channel, service)
-    finally:
-        channel.close()
 
 
 def _rejection_error(response: QueryResponse) -> QueryRejectedError:
@@ -550,17 +476,17 @@ class QueryClient:
 
         The pipelined read path: requests are streamed without waiting for
         their replies, so one connection amortises its round-trip latency
-        over the whole window (``serve_main`` and the async server both
-        answer pipelined frames; the async server interleaves them with
-        other connections).  Results come back in ``key_batches`` order
-        regardless of BUSY retries — a BUSY reply re-enqueues its batch
-        under a fresh request id *after the policy's backoff delay*
-        (per-batch exponential growth with seeded jitter, so a saturated
-        server is not hammered in a tight resend loop).  ``busy_retries``
-        bounds the total across the call (``None`` retries forever); the
-        policy's ``deadline_seconds`` bounds the whole call — replies are
-        then awaited with a bounded ``recv``, so a server dying
-        mid-pipeline raises :class:`ServeTimeoutError` instead of hanging.
+        over the whole window (the server answers a connection's pipelined
+        frames in order, interleaved with other connections).  Results come
+        back in ``key_batches`` order regardless of BUSY retries — a BUSY
+        reply re-enqueues its batch under a fresh request id *after the
+        policy's backoff delay* (per-batch exponential growth with seeded
+        jitter, so a saturated server is not hammered in a tight resend
+        loop).  ``busy_retries`` bounds the total across the call (``None``
+        retries forever); the policy's ``deadline_seconds`` bounds the whole
+        call — replies are then awaited with a bounded ``recv``, so a server
+        dying mid-pipeline raises :class:`ServeTimeoutError` instead of
+        hanging.
         """
         results: list[tuple[np.ndarray, int] | None] = [None] * len(key_batches)
         # (index, earliest send time); 0 = immediately.  Backoff works by
@@ -671,45 +597,3 @@ class QueryClient:
     @property
     def bytes_received(self) -> int:
         return self._channel.bytes_received
-
-
-class ServingSession:
-    """One remote service behind a transport, with a connected client.
-
-    ``transport`` is a backend name (``inproc``/``pipe``/``tcp``) or a
-    pre-built :class:`Transport`.  The session launches a single
-    :func:`serve_main` endpoint over it (a thread for ``inproc``, an OS
-    process for ``pipe``, a socket peer for ``tcp``), ships the CONFIG
-    frame, and exposes the :class:`QueryClient`.  Use as a context manager;
-    exit shuts the server down and joins it.
-    """
-
-    def __init__(
-        self,
-        config: ServeConfig,
-        transport: str | Transport = "inproc",
-        retry_policy: RetryPolicy | None = None,
-    ) -> None:
-        self.config = config
-        self.transport = (
-            create_transport(transport) if isinstance(transport, str) else transport
-        )
-        channels = self.transport.launch(serve_main, 1)
-        self._channel = channels[0]
-        self._channel.send(encode_frame(MSG_CONFIG, config.to_payload()))
-        self.client = QueryClient(self._channel, retry_policy=retry_policy)
-
-    def shutdown(self) -> None:
-        try:
-            self._channel.send(encode_frame(MSG_SHUTDOWN))
-        except (WireFormatError, OSError):
-            pass  # already closed
-        self.transport.close()
-        self.transport.join(timeout=30)
-
-    def __enter__(self) -> "ServingSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-

@@ -39,6 +39,7 @@ import numpy as np
 from repro.hashing import EncodedKeyBatch
 from repro.hashing.families import HashFunction, derive_seed, key_to_bytes
 from repro.hashing.murmur import murmur3_32
+from repro.kernels.interning import KeyInternerOverflowError
 from repro.sketches.base import Sketch, UnmergeableSketchError
 
 #: Salt folded into the master seed for the partition hash, so the router is
@@ -251,17 +252,25 @@ class ShardedSketch(Sketch):
         ):
             return
         calls = self._router.calls
-        for shard_id, _, sub in self._route(EncodedKeyBatch(keys)):
-            self.shards[shard_id].check_room(sub)
-        self._router.calls = calls
+        try:
+            for shard_id, _, sub in self._route(EncodedKeyBatch(keys)):
+                self.shards[shard_id].check_room(sub)
+        finally:
+            self._router.calls = calls
 
     def insert_batch(self, keys: Sequence[object], values: Sequence[int] | int | None = None) -> None:
         batch = EncodedKeyBatch(keys)
         value_array = self._batch_values(values, len(batch))
+        calls = self._router.calls
         routed = self._route(batch)
-        # Every shard checks first: a batch one shard refuses reaches none.
-        for shard_id, _, sub in routed:
-            self.shards[shard_id].check_room(sub)
+        # Every shard checks first: a batch one shard refuses reaches none,
+        # and leaves no routing hash counted.
+        try:
+            for shard_id, _, sub in routed:
+                self.shards[shard_id].check_room(sub)
+        except KeyInternerOverflowError:
+            self._router.calls = calls
+            raise
         for shard_id, positions, sub in routed:
             self.items_per_shard[shard_id] += positions.size
             self.shards[shard_id].insert_batch(sub, value_array[positions])

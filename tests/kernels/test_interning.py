@@ -113,6 +113,7 @@ def test_a_sharded_batch_one_shard_refuses_reaches_no_shard():
     assert [len(shard.key_interner) for shard in sketch.shards] == [0, 0]
     assert sketch.items_per_shard.tolist() == [0, 0]
     assert sum(shard.hash_calls() for shard in sketch.shards) == 0
+    assert sketch.hash_calls() == 0
 
 
 def test_bounded_sketch_keeps_answering_after_overflow():

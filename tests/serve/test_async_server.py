@@ -1,15 +1,17 @@
-"""The async front end's acceptance properties: parity, robustness, BUSY.
+"""The TCP event loop's acceptance properties: parity, robustness, BUSY.
 
-Three groups pin the event-loop server to the sequential baseline:
+Three groups pin :class:`AsyncSketchServer`, the one server loop:
 
 * **Pipelining parity** — M interleaved clients issuing pipelined queries
-  against :class:`AsyncSketchServer` get answers bit-identical to a
-  sequential :class:`ServingSession` replay of the same requests, for
-  every served family, including across an epoch publish mid-run.
+  get answers bit-identical to the same calls on an in-process
+  :class:`SketchService` twin (``serve_batch``/``flush``, what
+  ``answer_request`` serves), for every served family, including across an
+  epoch publish mid-run; writes since the last publish change no answer.
 * **Hostile/slow clients** — a slowloris peer (one byte at a time) is
-  served correctly without stalling others; a mid-frame disconnect or an
-  oversized declared length closes only that connection, with the error
-  counted, while the server keeps serving.
+  served correctly without stalling others; a mid-frame disconnect, an
+  oversized declared length or a refused batch (a non-positive value on
+  every family, an interner without room) closes only that connection,
+  with the error counted, while the server keeps serving.
 * **Back-pressure** — with the in-flight bound forced to 1, the server
   emits typed BUSY replies and the open-loop load generator retries them
   to completion; replies stay in request order throughout.
@@ -38,7 +40,7 @@ from repro.distributed.wire import (
 )
 from repro.serve.async_server import AsyncServingSession, AsyncSketchServer
 from repro.serve.loadgen import OpenLoopConfig, run_open_loop
-from repro.serve.server import QueryClient, ServeConfig, ServingSession
+from repro.serve.server import QueryClient, ServeConfig
 from repro.sketches.registry import build_sketch, mergeable_names
 from repro.streams.synthetic import zipf_stream
 
@@ -82,26 +84,29 @@ def test_single_client_answers_match_local_reference():
 
 
 @pytest.mark.parametrize("algorithm", FAMILIES)
-def test_interleaved_pipelined_clients_match_sequential_replay(algorithm):
-    """M concurrent pipelined clients == sequential ServingSession, twice:
+def test_interleaved_pipelined_clients_match_the_local_service(algorithm):
+    """M concurrent pipelined clients == the in-process service twin, twice:
     before and after an epoch publish between the two read phases."""
     stream = zipf_stream(3000, skew=1.2, universe=600, seed=9)
     items = [item.key for item in stream]
     first, second = items[:1500], items[1500:]
     batches = [items[i * 25 : (i + 1) * 25] + ["absent", -1] for i in range(24)]
 
-    config = ServeConfig(algorithm, MEMORY, seed=0, publish_every_items=10**9)
-    with ServingSession(config, "inproc") as sequential, \
-            make_session(algorithm) as session:
+    local = ServeConfig(algorithm, MEMORY, seed=0, publish_every_items=10**9).build_service()
+    with make_session(algorithm) as session:
         writer = session.connect()
 
         def both_phases(keys):
-            sequential.client.ingest(keys)
+            frozen = [local.serve_batch(batch) for batch in batches]
+            local.ingest(keys)
             writer.ingest(keys)
-            sequential_epoch = sequential.client.flush()
-            async_epoch = writer.flush()
-            assert sequential_epoch == async_epoch
-            expected = [sequential.client.query_batch(batch) for batch in batches]
+            # Served = frozen: writes since the last publish change no answer.
+            for (estimates, epoch_id), (want, want_epoch) in zip(
+                writer.query_batches_pipelined(batches), frozen
+            ):
+                assert epoch_id == want_epoch and (estimates == want).all()
+            assert writer.flush() == local.flush().epoch_id
+            expected = [local.serve_batch(batch) for batch in batches]
 
             def pipelined(offset: int):
                 client = session.connect()
@@ -119,7 +124,7 @@ def test_interleaved_pipelined_clients_match_sequential_replay(algorithm):
                     assert epoch_id == want_epoch
                     assert (estimates == want).all(), (
                         f"{algorithm}: pipelined answers diverged from the "
-                        f"sequential replay at epoch {epoch_id}"
+                        f"local service at epoch {epoch_id}"
                     )
 
         both_phases(first)
@@ -129,18 +134,17 @@ def test_interleaved_pipelined_clients_match_sequential_replay(algorithm):
 
 def test_answers_stay_consistent_across_concurrent_publish():
     """Readers in flight while an epoch publishes: every reply must equal
-    the sequential answer *of the epoch that stamped it*."""
-    config = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=10**9)
+    the local service's answer *of the epoch that stamped it*."""
+    local = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=10**9).build_service()
     items = [item.key for item in zipf_stream(2000, skew=1.2, universe=400, seed=4)]
     probe = sorted(set(items[:200]))
-    with ServingSession(config, "inproc") as sequential, \
-            make_session("Ours") as session:
+    with make_session("Ours") as session:
         writer = session.connect()
-        sequential.client.ingest(items[:1000])
+        local.ingest(items[:1000])
         writer.ingest(items[:1000])
         epoch_before = writer.flush()
-        assert sequential.client.flush() == epoch_before
-        expected = {epoch_before: sequential.client.query_batch(probe)[0]}
+        assert local.flush().epoch_id == epoch_before
+        expected = {epoch_before: local.serve_batch(probe)[0]}
 
         stop = threading.Event()
         failures: list[str] = []
@@ -166,9 +170,9 @@ def test_answers_stay_consistent_across_concurrent_publish():
         time.sleep(0.05)
         # Publish mid-flight: pre-compute the next epoch's reference before
         # the async side can stamp replies with it.
-        sequential.client.ingest(items[1000:])
-        epoch_after = sequential.client.flush()
-        expected[epoch_after] = sequential.client.query_batch(probe)[0]
+        local.ingest(items[1000:])
+        epoch_after = local.flush().epoch_id
+        expected[epoch_after] = local.serve_batch(probe)[0]
         writer.ingest(items[1000:])
         assert writer.flush() == epoch_after
         time.sleep(0.05)
@@ -269,11 +273,15 @@ def test_oversized_declared_length_rejected_without_allocation():
     assert stats.closed_error == 2
 
 
-def test_non_positive_value_closes_only_its_connection(tmp_path):
+@pytest.mark.parametrize("algorithm", FAMILIES)
+def test_non_positive_value_closes_only_its_connection(algorithm, tmp_path):
     """The batch is refused as malformed before it reaches the journal: the
     server keeps answering and the store still warm-starts."""
-    config = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=10**9,
+    config = ServeConfig(algorithm, MEMORY, seed=0, publish_every_items=10**9,
                          store_dir=str(tmp_path))
+    reference = build_sketch(algorithm, MEMORY, seed=0)
+    reference.insert_batch([1, 2, 3])
+    expected = reference.query_batch([1, 2, 3, 4, 5]).tolist()
     service = config.build_service()
     with AsyncServingSession(service) as session:
         client = session.connect()
@@ -288,7 +296,7 @@ def test_non_positive_value_closes_only_its_connection(tmp_path):
         other = session.connect()
         for peer in (client, other):
             estimates, _ = peer.query_batch([1, 2, 3, 4, 5])
-            assert estimates.tolist() == [1, 1, 1, 0, 0]
+            assert estimates.tolist() == expected
         stats = other.stats()
         client.close()
         other.close()
@@ -299,7 +307,7 @@ def test_non_positive_value_closes_only_its_connection(tmp_path):
     service.close()
 
     restarted = config.build_service()
-    assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == [1, 1, 1, 0, 0]
+    assert restarted.query_batch([1, 2, 3, 4, 5]).tolist() == expected
     restarted.close()
 
 

@@ -1,8 +1,9 @@
-"""Remote serving over the wire: frames, transports, client/server parity."""
+"""Remote serving over the wire: query frames and client/server parity."""
 
 from __future__ import annotations
 
-import numpy as np
+from contextlib import contextmanager
+
 import pytest
 
 from repro.distributed.wire import (
@@ -16,12 +17,12 @@ from repro.distributed.wire import (
     encode_query_request,
     encode_query_response,
 )
-from repro.serve.server import ServeConfig, ServingSession
+from repro.serve.async_server import AsyncServingSession
+from repro.serve.server import ServeConfig
 from repro.sketches.registry import build_sketch
 from repro.streams.synthetic import zipf_stream
 
 MEMORY = 32 * 1024
-TRANSPORTS = ("inproc", "pipe", "tcp")
 
 
 # ---------------------------------------------------------------- wire frames
@@ -93,14 +94,23 @@ def test_query_frame_validation():
 
 
 # ------------------------------------------------------------- remote parity
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_remote_serving_matches_local_reference(transport):
+@contextmanager
+def served(config: ServeConfig):
+    """A client connected to ``config``'s service behind the TCP event loop."""
+    with AsyncServingSession(config.build_service()) as session:
+        client = session.connect()
+        try:
+            yield client
+        finally:
+            client.close()
+
+
+def test_remote_serving_matches_local_reference():
     """Writes shipped over the wire; the final epoch equals a local twin."""
     stream = zipf_stream(6000, skew=1.1, universe=1500, seed=5)
     reference = build_sketch("CM_fast", MEMORY, seed=0)
     config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=1024)
-    with ServingSession(config, transport) as session:
-        client = session.client
+    with served(config) as client:
         for chunk in stream.iter_batches(512):
             keys = [item.key for item in chunk]
             values = [item.value for item in chunk]
@@ -108,20 +118,18 @@ def test_remote_serving_matches_local_reference(transport):
             reference.insert_batch(keys, values)
         client.flush()
         query_keys = stream.keys() + ["missing", -1]
-        served, epoch_id = client.query_batch(query_keys)
+        answers, epoch_id = client.query_batch(query_keys)
         assert epoch_id >= 1
-        assert (served == reference.query_batch(query_keys)).all()
+        assert (answers == reference.query_batch(query_keys)).all()
         # scalar convenience wrapper agrees
-        assert client.query(query_keys[0]) == int(served[0])
+        assert client.query(query_keys[0]) == int(answers[0])
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_remote_top_k_and_stats(transport):
+def test_remote_top_k_and_stats():
     stream = zipf_stream(4000, skew=1.4, universe=400, seed=8)
     config = ServeConfig("CU_fast", MEMORY, seed=0, publish_every_items=2048)
-    local = ServeConfig("CU_fast", MEMORY, seed=0, publish_every_items=2048).build_service()
-    with ServingSession(config, transport) as session:
-        client = session.client
+    local = config.build_service()
+    with served(config) as client:
         for chunk in stream.iter_batches(512):
             keys = [item.key for item in chunk]
             client.ingest(keys)
@@ -135,13 +143,11 @@ def test_remote_top_k_and_stats(transport):
         assert stats["algorithm"] == "CU"
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_remote_top_k_sees_keys_ingested_since_publish(transport):
+def test_remote_top_k_sees_keys_ingested_since_publish():
     """QUERY_TOP_K ranks today's directory against the answering epoch, so
     a repeated request at one epoch still lists keys written since."""
     config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=10**9)
-    with ServingSession(config, transport) as session:
-        client = session.client
+    with served(config) as client:
         client.ingest([1] * 5)
         assert client.flush() == 1
         assert client.top_k(3) == ([(1, 5)], 1)
@@ -151,46 +157,19 @@ def test_remote_top_k_sees_keys_ingested_since_publish(transport):
         assert client.top_k(3) == ([(1, 5), (2, 1), (3, 1)], 2)
 
 
-def test_config_payload_ignores_keys_it_does_not_read():
-    """A CONFIG frame from an older client may still carry ``cache_size``;
-    it decodes to the same config and builds a working service."""
-    from repro.distributed.wire import decode_config, encode_config
-
-    config = ServeConfig("CU_fast", MEMORY, seed=3, publish_every_items=64)
-    payload = config.to_payload()
-    assert "cache_size" not in decode_config(payload)
-    legacy = encode_config({**decode_config(payload), "cache_size": 1024})
-    decoded = ServeConfig.from_payload(legacy)
-    assert decoded == config
-    service = decoded.build_service()
-    service.ingest([4] * 64)
-    estimates, epoch_id = service.serve_batch([4])
-    assert (estimates.tolist(), epoch_id) == ([64], 1)
-
-
-@pytest.mark.parametrize("required", ["algorithm", "memory_bytes"])
-def test_config_payload_without_a_required_key_is_malformed(required):
-    from repro.distributed.wire import WireFormatError, decode_config, encode_config
-
-    config = decode_config(ServeConfig("CU_fast", MEMORY).to_payload())
-    del config[required]
-    with pytest.raises(WireFormatError, match=required):
-        ServeConfig.from_payload(encode_config(config))
-
-
-def test_serving_session_serves_reliable_sketch():
+def test_remote_serving_of_reliable_sketch():
     """ReliableSketch (snapshotable, unmergeable) serves remotely too."""
     stream = zipf_stream(5000, skew=1.2, universe=1000, seed=2)
     reference = build_sketch("Ours", MEMORY, seed=0)
     config = ServeConfig("Ours", MEMORY, seed=0, publish_every_items=1024)
-    with ServingSession(config, "inproc") as session:
+    with served(config) as client:
         for chunk in stream.iter_batches(256):
             keys = [item.key for item in chunk]
-            session.client.ingest(keys)
+            client.ingest(keys)
             reference.insert_batch(keys)
-        session.client.flush()
-        served, _ = session.client.query_batch(stream.keys())
-    assert (served == reference.query_batch(stream.keys())).all()
+        client.flush()
+        answers, _ = client.query_batch(stream.keys())
+    assert (answers == reference.query_batch(stream.keys())).all()
 
 
 def test_sharded_service_over_the_wire():
@@ -200,24 +179,24 @@ def test_sharded_service_over_the_wire():
     stream = zipf_stream(4000, skew=1.1, universe=900, seed=6)
     reference = ShardedSketch.from_registry("Ours", MEMORY, 2, seed=0)
     config = ServeConfig("Ours", MEMORY, seed=0, shards=2, publish_every_items=1024)
-    with ServingSession(config, "inproc") as session:
+    with served(config) as client:
         for chunk in stream.iter_batches(512):
             keys = [item.key for item in chunk]
-            session.client.ingest(keys)
+            client.ingest(keys)
             reference.insert_batch(keys)
-        session.client.flush()
-        served, _ = session.client.query_batch(stream.keys())
-    assert (served == reference.query_batch(stream.keys())).all()
+        client.flush()
+        answers, _ = client.query_batch(stream.keys())
+    assert (answers == reference.query_batch(stream.keys())).all()
 
 
 def test_epoch_id_is_stable_between_publishes():
     config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=10**9)
-    with ServingSession(config, "inproc") as session:
-        session.client.ingest([1, 2, 3])
-        first, epoch_a = session.client.query_batch([1])
-        second, epoch_b = session.client.query_batch([1])
+    with served(config) as client:
+        client.ingest([1, 2, 3])
+        first, epoch_a = client.query_batch([1])
+        second, epoch_b = client.query_batch([1])
         assert epoch_a == epoch_b == 0
         assert first.tolist() == second.tolist() == [0]
-        assert session.client.flush() == 1
-        answers, epoch_c = session.client.query_batch([1])
+        assert client.flush() == 1
+        answers, epoch_c = client.query_batch([1])
         assert (epoch_c, answers.tolist()) == (1, [1])

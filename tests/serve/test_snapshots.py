@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 
-from repro.experiments.runner import ExperimentSettings, run_sketch
 from repro.serve.snapshots import EpochWriter, replicate_sketch
 from repro.sketches.registry import build_sketch, snapshot_names
+from repro.streams.items import iter_key_value_chunks
 from repro.streams.synthetic import zipf_stream
 
 MEMORY = 32 * 1024
@@ -123,38 +124,36 @@ def test_writer_rejects_bad_cadence():
         EpochWriter(sketch, publish_every_seconds=0.0)
 
 
-def test_runner_rejects_epoch_items_with_transport(small_zipf_stream):
-    """Conflicting knobs raise — neither is ever silently ignored."""
-    with pytest.raises(ValueError):
-        run_sketch(
-            "CM_fast", MEMORY, small_zipf_stream,
-            ExperimentSettings(transport="inproc", epoch_items=1024),
-        )
-
-
 def test_loadgen_epoch_count_excludes_the_drain_flush():
     """epochs_published reflects in-run rotation, not the final flush."""
-    from repro.serve import LoadGenConfig, ServeConfig, ServingSession, run_loadgen
+    from repro.serve import AsyncServingSession, LoadGenConfig, ServeConfig, run_loadgen
 
     config = ServeConfig("CM_fast", MEMORY, seed=0, publish_every_items=10**9)
-    with ServingSession(config, "inproc") as session:
-        report = run_loadgen(session.client, LoadGenConfig(operations=60, seed=2))
+    with AsyncServingSession(config.build_service()) as session:
+        client = session.connect()
+        report = run_loadgen(client, LoadGenConfig(operations=60, seed=2))
+        client.close()
     assert report.epochs_published == 0  # nothing rotated during the run
     assert report.epoch_consistent  # the flush still drained for the check
 
 
 @pytest.mark.parametrize("name", snapshot_names())
-def test_runner_epoch_items_is_bit_identical(name, small_zipf_stream):
-    """The ExperimentSettings.epoch_items knob never changes results."""
-    direct = run_sketch(name, MEMORY, small_zipf_stream)
-    served = run_sketch(
-        name, MEMORY, small_zipf_stream,
-        ExperimentSettings(epoch_items=4096, batch_size=1024),
-    )
-    assert direct.report.outliers == served.report.outliers
-    assert direct.report.aae == served.report.aae
+def test_flushed_epoch_equals_the_direct_fill(name, small_zipf_stream):
+    """Filling through the epoch writer never changes the sketch: after a
+    flush, the published epoch's state is the direct fill's, bit for bit."""
+    direct = build_sketch(name, MEMORY, seed=0)
+    direct.insert_stream(small_zipf_stream)
+    writer = EpochWriter(build_sketch(name, MEMORY, seed=0), publish_every_items=4096)
+    for keys, values in iter_key_value_chunks(small_zipf_stream, 1024):
+        writer.ingest(keys, values)
+    served = writer.publish().sketch
+    assert writer.current.epoch_id > 1  # the cadence published mid-stream too
+    direct_state, served_state = direct.state_snapshot(), served.state_snapshot()
+    assert served_state.keys() == direct_state.keys()
+    for part, array in direct_state.items():
+        assert np.array_equal(served_state[part], array), part
     keys = small_zipf_stream.keys()
-    assert (direct.sketch.query_batch(keys) == served.sketch.query_batch(keys)).all()
+    assert (direct.query_batch(keys) == served.query_batch(keys)).all()
 
 
 def publish_keys(kind, count=6000, seed=13):

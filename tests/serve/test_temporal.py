@@ -1,9 +1,9 @@
 """Temporal serving: pinned epochs, sliding windows, change alerts, EPOCH_GONE.
 
 Service-level first (ring integration, bit-identical time travel, exact
-window deltas, per-publish listeners), then end to end over the wire on
-both front ends — the sequential session loop and the async event loop —
-including the client's typed, non-retried rejection errors.
+window deltas, per-publish listeners), then end to end over the wire
+through the TCP event loop, including the client's typed, non-retried
+rejection errors.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.serve.async_server import AsyncServingSession
 from repro.serve.errors import EpochGoneError, QueryRejectedError, ServerBusyError
-from repro.serve.server import ServeConfig, ServingSession
+from repro.serve.server import ServeConfig
 from repro.serve.service import SketchService
 from repro.sketches.registry import build_sketch
 
@@ -193,34 +193,6 @@ def fill_epochs(client, epochs=4, items_per_epoch=100):
     client.flush()
 
 
-@pytest.mark.parametrize("transport", ["inproc", "tcp"])
-def test_sequential_front_end_pinned_and_gone(transport):
-    config = ServeConfig(
-        "CM_fast", MEMORY, publish_every_items=100, ring_epochs=3,
-        max_tracked_keys=64,
-    )
-    with ServingSession(config, transport=transport) as session:
-        fill_epochs(session.client, epochs=6)
-        stats = session.client.stats()
-        resident = stats["temporal"]["resident_epochs"]
-        pinned_epoch = resident[0]
-        estimates, answered = session.client.query_batch([1, 2], epoch=pinned_epoch)
-        assert answered == pinned_epoch
-        # Windowed read over the wire matches pinned subtraction.
-        windowed, later = session.client.query_batch([1, 2], window=1)
-        upper, _ = session.client.query_batch([1, 2], epoch=later)
-        lower, _ = session.client.query_batch([1, 2], epoch=later - 1)
-        assert np.array_equal(windowed, upper - lower)
-        # Evicted epoch: typed, non-retryable error — immediately.
-        with pytest.raises(EpochGoneError) as caught:
-            session.client.query_batch([1], epoch=0)
-        assert caught.value.epoch_id == 0
-        assert not caught.value.retryable
-        # Pinned top-k over the wire.
-        ranking, answered = session.client.top_k(3, epoch=pinned_epoch)
-        assert answered == pinned_epoch and len(ranking) == 3
-
-
 def test_async_front_end_pinned_and_gone():
     config = ServeConfig(
         "CM_fast", MEMORY, publish_every_items=100, ring_epochs=3,
@@ -231,13 +203,25 @@ def test_async_front_end_pinned_and_gone():
         try:
             fill_epochs(client, epochs=6)
             resident = client.stats()["temporal"]["resident_epochs"]
-            estimates, answered = client.query_batch([1, 2], epoch=resident[0])
-            assert answered == resident[0]
-            with pytest.raises(EpochGoneError):
+            pinned_epoch = resident[0]
+            estimates, answered = client.query_batch([1, 2], epoch=pinned_epoch)
+            assert answered == pinned_epoch
+            # Windowed read over the wire matches pinned subtraction.
+            windowed, later = client.query_batch([1, 2], window=1)
+            upper, _ = client.query_batch([1, 2], epoch=later)
+            lower, _ = client.query_batch([1, 2], epoch=later - 1)
+            assert np.array_equal(windowed, upper - lower)
+            # Evicted epoch: typed, non-retryable error — immediately.
+            with pytest.raises(EpochGoneError) as caught:
                 client.query_batch([1], epoch=0)
+            assert caught.value.epoch_id == 0
+            assert not caught.value.retryable
             # The connection survives the rejection: next query answers.
             _, latest = client.query_batch([1, 2])
             assert latest == resident[-1]
+            # Pinned top-k over the wire.
+            ranking, answered = client.top_k(3, epoch=pinned_epoch)
+            assert answered == pinned_epoch and len(ranking) == 3
         finally:
             client.close()
 

@@ -233,8 +233,3 @@ def test_non_snapshotable_algorithm_rejected_for_store(tmp_path):
     config = ServeConfig("Elastic", MEMORY, store_dir=str(tmp_path))
     with pytest.raises(ValueError, match="snapshotable"):
         config.build_service()
-
-
-def test_store_dir_round_trips_through_payload(tmp_path):
-    config = config_for("CM_fast", tmp_path)
-    assert ServeConfig.from_payload(config.to_payload()) == config
