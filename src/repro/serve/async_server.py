@@ -44,7 +44,9 @@ The moving parts, in the order a request meets them::
 ``MSG_BATCH`` ingest frames flow through the same per-connection order as
 queries (never rejected — a fire-and-forget write has no reply to carry a
 BUSY), so a pipelined ``ingest … flush … query`` sequence keeps its
-read-your-writes meaning.
+read-your-writes meaning.  A client that hangs up cleanly (EOF, or a
+``MSG_SHUTDOWN`` frame) still has every write it sent before leaving
+ingested; its unanswered queries are dropped.
 """
 
 from __future__ import annotations
@@ -394,8 +396,11 @@ class AsyncSketchServer:
             connection = task.connection
             if task.msg_type == MSG_QUERY:
                 self._inflight_queries -= 1
-            if connection.closed:
-                continue  # the client is gone; drop its queued work
+            if connection.closed and (task.slot is not None or connection.stats.error):
+                # Nobody is left to answer, or the connection ended on an
+                # error.  A peer that hung up cleanly (EOF or MSG_SHUTDOWN)
+                # sent its queued writes before leaving: they are ingested.
+                continue
             try:
                 if task.msg_type == MSG_BATCH:
                     batch, values = decode_batch(task.payload)
@@ -472,6 +477,10 @@ class AsyncSketchServer:
     # -------------------------------------------------------------- teardown
     def _close_connection(self, connection: _Connection, error: str | None) -> None:
         if connection.closed:
+            if error is not None:
+                # A queued write of a peer that already hung up was refused:
+                # its later writes are dropped, as an open connection's are.
+                connection.stats.error = error
             return
         connection.closed = True
         connection.stats.error = error

@@ -11,7 +11,8 @@ Three groups pin :class:`AsyncSketchServer`, the one server loop:
   served correctly without stalling others; a mid-frame disconnect, an
   oversized declared length or a refused batch (a non-positive value on
   every family, an interner without room) closes only that connection,
-  with the error counted, while the server keeps serving.
+  with the error counted, while the server keeps serving; a client that
+  hangs up cleanly right after its writes still has every one ingested.
 * **Back-pressure** — with the in-flight bound forced to 1, the server
   emits typed BUSY replies and the open-loop load generator retries them
   to completion; replies stay in request order throughout.
@@ -32,6 +33,7 @@ from repro.distributed.transport import SocketChannel
 from repro.distributed.wire import (
     MSG_BATCH,
     MSG_QUERY,
+    MSG_SHUTDOWN,
     QUERY_KEYS,
     WireFormatError,
     encode_batch,
@@ -244,6 +246,57 @@ def test_mid_frame_disconnect_closes_only_that_connection():
         stats = session.shutdown()
     assert stats.truncated_disconnects == 1
     assert stats.queries_served >= 1
+
+
+@pytest.mark.parametrize("hang_up", ("shutdown_frame", "eof"))
+def test_writes_sent_before_a_clean_hang_up_are_ingested(hang_up):
+    """A fire-and-forget client may leave right after its last write, with
+    a MSG_SHUTDOWN frame or by closing its side: every write it sent is
+    ingested, though the server closes the connection before serving them."""
+    # One task per loop tick, so the hang-up is read while writes still queue.
+    with make_session("CM_fast", service_batch=1) as session:
+        writer = raw_connect(session)
+        frames = encode_frame(MSG_BATCH, encode_batch([7, 7, 7], [1, 1, 1])) * 4
+        if hang_up == "shutdown_frame":
+            writer.sendall(frames + encode_frame(MSG_SHUTDOWN))
+        else:
+            writer.sendall(frames)
+            writer.shutdown(socket.SHUT_WR)
+        assert writer.recv(1) == b""  # the server closed its side
+        writer.close()
+        reader = session.connect()
+        reader.flush()
+        estimates, _ = reader.query_batch([7])
+        reader.close()
+        stats = session.shutdown()
+    assert estimates.tolist() == [12]
+    assert stats.batches_ingested == 4
+    assert (stats.closed_clean, stats.closed_error) == (2, 0)
+
+
+def test_a_refused_write_of_a_departed_client_drops_its_later_writes():
+    """Writes queued behind a refused one are dropped also when their sender
+    has hung up already, as on an open connection: what lands does not
+    depend on whether the server read the hang-up first."""
+    # encode_batch refuses a non-positive value: set the last one by hand.
+    refused = encode_batch([4, 5], [1, 2])[:-8] + struct.pack("<q", -1)
+    with make_session("CM_fast", service_batch=1) as session:
+        writer = raw_connect(session)
+        writer.sendall(
+            encode_frame(MSG_BATCH, encode_batch([7], [1]))
+            + encode_frame(MSG_BATCH, refused)
+            + encode_frame(MSG_BATCH, encode_batch([7], [1]))
+            + encode_frame(MSG_SHUTDOWN)
+        )
+        assert writer.recv(1) == b""
+        writer.close()
+        reader = session.connect()
+        reader.flush()
+        estimates, _ = reader.query_batch([4, 5, 7])
+        reader.close()
+        stats = session.shutdown()
+    assert estimates.tolist() == [0, 0, 1]
+    assert (stats.batches_ingested, stats.frame_errors) == (1, 1)
 
 
 def test_oversized_declared_length_rejected_without_allocation():

@@ -62,7 +62,7 @@ def test_interleaved_reads_match_frozen_epochs(name):
     assert service.current_epoch.epoch_id >= 5  # rotation actually happened
 
 
-@pytest.mark.parametrize("name", ("CM_fast", "CU_fast", "Ours"))
+@pytest.mark.parametrize("name", FAMILIES)
 def test_threaded_ingest_and_query_no_torn_reads(name):
     """Real writer/reader concurrency: every answer matches its epoch."""
     references = {}
@@ -104,13 +104,9 @@ def test_threaded_ingest_and_query_no_torn_reads(name):
             if done.is_set():
                 break
 
-    threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=reader) for _ in range(3)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    _run_concurrently(
+        [threading.Thread(target=writer)] + [threading.Thread(target=reader) for _ in range(3)]
+    )
     assert not failures, failures
     assert service.current_epoch.epoch_id >= 10
 
@@ -157,12 +153,23 @@ def test_threaded_top_k_reads_a_consistent_directory(name):
             if failures or finished:
                 break
 
+    _run_concurrently(
+        [threading.Thread(target=writer)] + [threading.Thread(target=reader) for _ in range(4)]
+    )
+    assert not failures, failures
+    assert service.key_directory.keys() == list(dict.fromkeys(keys))
+
+
+def _run_concurrently(threads: list[threading.Thread]) -> None:
+    """Start and join ``threads`` under a 10 µs GIL switch interval.
+
+    At the default 5 ms the spinning readers starve the writer for tens of
+    seconds: each time it gives the GIL up it waits a whole interval to get
+    it back.  The short interval also interleaves the threads more often.
+    """
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader) for _ in range(4)
-        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -170,8 +177,6 @@ def test_threaded_top_k_reads_a_consistent_directory(name):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert not failures, failures
-    assert service.key_directory.keys() == list(dict.fromkeys(keys))
 
 
 def _chain(*callbacks):
