@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.parameters import rw_sweep
+from repro.experiments.parameters import TARGET_AAE, rw_sweep
 from repro.metrics.memory import BYTES_PER_KB
 
 R_W_VALUES = [1.4, 2.0, 4.0, 9.0]
@@ -53,7 +53,7 @@ def test_fig12_rw_memory_for_target_aae(benchmark, bench_scale):
         r_w_values=[2.0, 4.0, 9.0],
         r_lambda_values=[2.0],
         tolerance=25.0,
-        target_aae=5.0,
+        target_aae=TARGET_AAE,
         scale=bench_scale,
         seed=1,
     )

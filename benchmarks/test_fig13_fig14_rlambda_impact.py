@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.parameters import rlambda_sweep
+from repro.experiments.parameters import TARGET_AAE, rlambda_sweep
 from repro.metrics.memory import BYTES_PER_KB
 
 R_LAMBDA_VALUES = [1.4, 2.5, 6.0, 9.0]
@@ -53,7 +53,7 @@ def test_fig14_rlambda_memory_for_target_aae(benchmark, bench_scale):
         r_lambda_values=[2.5, 6.0],
         r_w_values=[4.0],
         tolerance=25.0,
-        target_aae=5.0,
+        target_aae=TARGET_AAE,
         scale=bench_scale,
         seed=1,
     )

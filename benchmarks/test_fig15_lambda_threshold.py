@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.parameters import lambda_sweep
+from repro.experiments.parameters import TARGET_AAE, lambda_sweep
 from repro.metrics.memory import BYTES_PER_KB
 
 TOLERANCES = [25.0, 50.0, 100.0]
@@ -50,7 +50,7 @@ def test_fig15b_memory_vs_lambda_for_target_aae(benchmark, bench_scale):
         lambda_sweep,
         dataset_names=("ip",),
         tolerances=[10.0, 25.0, 50.0],
-        target_aae=5.0,
+        target_aae=TARGET_AAE,
         scale=bench_scale,
         seed=1,
     )

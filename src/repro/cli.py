@@ -1,5 +1,9 @@
 """Command-line interface: regenerate any table or figure of the paper.
 
+``repro-cli <command> [flags]``: the command comes first, and each command
+accepts only the flags it reads; ``repro-cli <command> --help`` lists them
+with their defaults, and an unknown or foreign flag is an error.
+
 Examples
 --------
 Run the default (small-scale) version of Figure 4b::
@@ -186,38 +190,48 @@ def _cmd_fig10(args) -> None:
             )
 
 
-def _cmd_fig11(args) -> None:
-    curves = parameters.rw_sweep(
-        scale=args.scale, tolerance=args.tolerance, seed=args.seed, workers=args.workers
+def _readings(points) -> list[tuple[float, float | None]]:
+    """(parameter, memory in KB) pairs of a parameter sweep, None where not reached."""
+    return [
+        (p.parameter, None if p.memory_bytes is None else round(p.memory_bytes / BYTES_PER_KB, 1))
+        for p in points
+    ]
+
+
+def _print_ratio_sweep(sweep, fixed_name: str, args, target_aae: float | None) -> None:
+    curves = sweep(
+        scale=args.scale, tolerance=args.tolerance, seed=args.seed, workers=args.workers,
+        target_aae=target_aae,
     )
     for curve in curves:
-        readings = [
-            (p.parameter, None if p.memory_bytes is None else round(p.memory_bytes / BYTES_PER_KB, 1))
-            for p in curve.points
-        ]
-        print(f"R_lambda={curve.fixed_value}: {readings}")
+        print(f"{fixed_name}={curve.fixed_value}: {_readings(curve.points)}")
+
+
+def _cmd_fig11(args) -> None:
+    _print_ratio_sweep(parameters.rw_sweep, "R_lambda", args, target_aae=None)
+
+
+def _cmd_fig12(args) -> None:
+    _print_ratio_sweep(parameters.rw_sweep, "R_lambda", args, target_aae=parameters.TARGET_AAE)
 
 
 def _cmd_fig13(args) -> None:
-    curves = parameters.rlambda_sweep(
-        scale=args.scale, tolerance=args.tolerance, seed=args.seed, workers=args.workers
-    )
-    for curve in curves:
-        readings = [
-            (p.parameter, None if p.memory_bytes is None else round(p.memory_bytes / BYTES_PER_KB, 1))
-            for p in curve.points
-        ]
-        print(f"R_w={curve.fixed_value}: {readings}")
+    _print_ratio_sweep(parameters.rlambda_sweep, "R_w", args, target_aae=None)
+
+
+def _cmd_fig14(args) -> None:
+    _print_ratio_sweep(parameters.rlambda_sweep, "R_w", args, target_aae=parameters.TARGET_AAE)
 
 
 def _cmd_fig15(args) -> None:
-    result = parameters.lambda_sweep(scale=args.scale, seed=args.seed, workers=args.workers)
-    for dataset_name, points in result.items():
-        readings = [
-            (p.parameter, None if p.memory_bytes is None else round(p.memory_bytes / BYTES_PER_KB, 1))
-            for p in points
-        ]
-        print(f"{dataset_name}: {readings}")
+    for panel, target_aae in (("15a, zero outliers", None),
+                              (f"15b, AAE <= {parameters.TARGET_AAE}", parameters.TARGET_AAE)):
+        print(f"[Figure {panel}]")
+        result = parameters.lambda_sweep(
+            scale=args.scale, seed=args.seed, workers=args.workers, target_aae=target_aae
+        )
+        for dataset_name, points in result.items():
+            print(f"{dataset_name}: {_readings(points)}")
 
 
 def _cmd_fig16(args) -> None:
@@ -293,20 +307,24 @@ def _cmd_serve(args) -> None:
     # (pipebench/server_main.py pins loop settings that way) must be served.
     from repro.serve.async_server import AsyncSketchServer
     from repro.serve.server import ServeConfig
+    from repro.sketches.registry import supports_snapshots
 
-    host, port = _parse_address(args.bind or "127.0.0.1:29462")
-    algorithm = args.algorithm or "CM_fast"
-    memory_bytes = args.memory_bytes if args.memory_bytes is not None else 64 * 1024
-    publish_every = args.publish_every if args.publish_every is not None else 8192
+    snapshotable = supports_snapshots(args.algorithm)  # ValueError on an unknown name
+    if args.store is not None and not snapshotable:
+        raise ValueError(
+            f"--store needs a snapshotable algorithm, and {args.algorithm} is not "
+            "(pick CM_fast, CM_acc, CU_fast, CU_acc, Count, Ours, or Ours(Raw))"
+        )
+    host, port = _parse_address(args.bind)
     config = ServeConfig(
-        algorithm,
-        memory_bytes,
+        args.algorithm,
+        args.memory_bytes,
         seed=args.seed,
         shards=args.shards,
-        publish_every_items=publish_every,
+        publish_every_items=args.publish_every,
         max_tracked_keys=args.max_tracked_keys,
         store_dir=args.store,
-        **({"ring_epochs": args.ring_epochs} if args.ring_epochs is not None else {}),
+        ring_epochs=args.ring_epochs,
     )
     service = config.build_service()
     if args.store is not None:
@@ -320,14 +338,14 @@ def _cmd_serve(args) -> None:
         service,
         host,
         port,
-        max_inflight=args.max_inflight if args.max_inflight is not None else 1024,
-        backlog=args.backlog if args.backlog is not None else 128,
-        drain_timeout=args.drain_timeout if args.drain_timeout is not None else 10.0,
+        max_inflight=args.max_inflight,
+        backlog=args.backlog,
+        drain_timeout=args.drain_timeout,
     )
     bound_host, bound_port = server.address
     print(
-        f"serving {algorithm} ({memory_bytes:.0f} B budget, epoch every "
-        f"{publish_every} items) on {bound_host}:{bound_port} "
+        f"serving {args.algorithm} ({args.memory_bytes:.0f} B budget, epoch every "
+        f"{args.publish_every} items) on {bound_host}:{bound_port} "
         f"[async, max {server.max_inflight} in-flight]"
     )
     # serve_forever treats KeyboardInterrupt as shutdown(): stop accepting,
@@ -363,12 +381,23 @@ def _cmd_query(args) -> None:
         raise ValueError(
             "query needs at least one of --keys / --top-k / --stats / --count"
         )
-    host, port = _parse_address(args.connect or "127.0.0.1:29462")
+    if args.pipeline is not None and not args.keys:
+        raise ValueError("--pipeline requires --keys")
+    if args.window is not None and not args.keys:
+        raise ValueError("--window requires --keys")
+    if args.epoch is not None and not (args.keys or args.top_k):
+        raise ValueError("--epoch requires --keys or --top-k")
+    if args.watch is not None and not args.top_k:
+        raise ValueError("--watch requires --top-k")
+    if args.watch is not None and args.epoch is not None:
+        raise ValueError("--watch polls the live ranking; it cannot pin --epoch")
+    if args.interval is not _WATCH_INTERVAL_S and args.watch is None:
+        raise ValueError("--interval requires --watch")
+    host, port = _parse_address(args.connect)
     client = QueryClient(connect_worker(host, port))
     try:
         if args.count:
-            skew = args.skew if args.skew is not None else 1.1
-            stream = zipf_stream(args.count, skew=skew, seed=args.seed + 1)
+            stream = zipf_stream(args.count, skew=args.skew, seed=args.seed + 1)
             for keys, values in iter_key_value_chunks(stream, 8192):
                 client.ingest(keys, values)
             epoch = client.flush()
@@ -409,12 +438,11 @@ def _cmd_query(args) -> None:
             # bounds); the server-side diff (service.diff_epochs) is exact.
             from repro.temporal import diff_rankings
 
-            interval = args.interval if args.interval is not None else 1.0
             previous = None
             previous_epoch = None
             for round_index in range(args.watch):
-                if round_index and interval:
-                    time.sleep(interval)
+                if round_index and args.interval:
+                    time.sleep(args.interval)
                 ranking, epoch = client.top_k(args.top_k)
                 if previous is not None:
                     report = diff_rankings(
@@ -476,10 +504,9 @@ def _cmd_store_verify(args) -> None:
 
 def _cmd_store_compact(args) -> None:
     """Apply the retention policy to a store directory."""
-    from repro.store import DEFAULT_RETENTION_EPOCHS, SketchStore
+    from repro.store import SketchStore
 
-    retain = args.store_retain if args.store_retain is not None else DEFAULT_RETENTION_EPOCHS
-    with SketchStore(args.store, retention_epochs=retain) as store:
+    with SketchStore(args.store, retention_epochs=args.store_retain) as store:
         removed = store.compact()
         audit = store.inspect()
         print(
@@ -494,7 +521,7 @@ def _cmd_ingest_worker(args) -> None:
     from repro.distributed.ingest import dynamic_worker_main
     from repro.distributed.transport import connect_worker
 
-    host, port = _parse_address(args.connect or "127.0.0.1:29461")
+    host, port = _parse_address(args.connect)
     print(f"connecting to collector at {host}:{port} ...")
     channel = connect_worker(host, port)
     print("connected; ingesting until the collector shuts down")
@@ -545,20 +572,33 @@ def _cmd_ingest_collect(args) -> None:
     """
     from repro.distributed.ingest import run_dynamic_ingest
     from repro.distributed.transport import TcpTransport
-    from repro.sketches.registry import build_sketch
+    from repro.sketches.registry import build_sketch, supports_snapshots
     from repro.sketches.sharded import ShardedSketch
     from repro.streams.synthetic import zipf_stream
 
-    algorithm = args.algorithm or "CM_fast"
-    memory_bytes = args.memory_bytes if args.memory_bytes is not None else 64 * 1024
-    count = args.count if args.count is not None else 200_000
-    skew = args.skew if args.skew is not None else 1.1
-    chunk_size = args.batch_size or 8192
-    chunks_total = -(-count // chunk_size)
+    algorithm = args.algorithm
+    memory_bytes = args.memory_bytes
+    chunk_size = args.batch_size
+    if args.bind is not None and args.transport != "tcp":
+        raise ValueError("--bind requires --transport tcp")
+    if args.partitions is not None and args.partitions < args.shards:
+        raise ValueError("--partitions must be at least --shards")
+    if args.store is not None and args.verify:
+        raise ValueError(
+            "--verify cannot be combined with --store: a resumed fleet "
+            "carries prior runs' history, which local re-ingest cannot mirror"
+        )
+    if not supports_snapshots(algorithm):
+        raise ValueError(
+            f"--algorithm {algorithm} cannot be collected remotely; pick a "
+            "snapshotable family (CM_fast, CM_acc, CU_fast, CU_acc, Count, "
+            "Ours, Ours(Raw))"
+        )
+    chunks_total = -(-args.count // chunk_size)
     if args.reshard and chunks_total < 3:
         raise ValueError(
             f"--reshard needs a stream of at least 3 batches (it splits a "
-            f"third of the way in and merges at two thirds); --count {count} "
+            f"third of the way in and merges at two thirds); --count {args.count} "
             f"at --batch-size {chunk_size} gives {chunks_total}"
         )
     partitions = args.partitions
@@ -571,19 +611,18 @@ def _cmd_ingest_collect(args) -> None:
             f"{args.shards} gives each worker one"
         )
 
-    transport_name = args.transport or "inproc"
-    if transport_name == "tcp":
+    if args.transport == "tcp":
         host, port = _parse_address(args.bind) if args.bind else ("127.0.0.1", 0)
         # An explicit --bind waits for external `repro-cli ingest-worker`
         # processes; without it the transport self-hosts worker threads.
         backend: object = TcpTransport(host, port, self_hosted=args.bind is None)
     else:
-        backend = transport_name
+        backend = args.transport
 
-    stream = zipf_stream(count, skew=skew, seed=args.seed + 1)
+    stream = zipf_stream(args.count, skew=args.skew, seed=args.seed + 1)
     print(
         f"stream: {len(stream)} items, {stream.distinct_keys()} distinct keys; "
-        f"{args.shards} workers over {transport_name}"
+        f"{args.shards} workers over {args.transport}"
     )
     if isinstance(backend, TcpTransport) and not backend.self_hosted:
         print(f"waiting for {args.shards} workers on {args.bind} ...")
@@ -662,236 +701,242 @@ def _cmd_ingest_collect(args) -> None:
     print(f"total wall-clock {wall:.3f}s")
 
 
-_COMMANDS = {
-    "ingest-collect": _cmd_ingest_collect,
-    "ingest-worker": _cmd_ingest_worker,
-    "serve": _cmd_serve,
-    "query": _cmd_query,
-    "store-inspect": _cmd_store_inspect,
-    "store-verify": _cmd_store_verify,
-    "store-compact": _cmd_store_compact,
-    "table1": _cmd_table1,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "fig10": _cmd_fig10,
-    "fig11": _cmd_fig11,
-    "fig12": _cmd_fig11,  # same sweep with --target-aae, see parameters.rw_sweep
-    "fig13": _cmd_fig13,
-    "fig14": _cmd_fig13,
-    "fig15": _cmd_fig15,
-    "fig16": _cmd_fig16,
-    "fig17": _cmd_fig17,
-    "fig18": _cmd_fig18,
-    "fig19": _cmd_fig19,
-    "fig20": _cmd_fig20,
-}
+def _checked(kind: type, accept, requirement: str):
+    """A ``type=`` callable: parse with ``kind``, then require ``accept(value)``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..." names it
+    return parse
 
 
-#: Commands whose sketches can run sharded.  --shards changes measured
-#: results (distributed-ingest model), so commands that cannot honour it
-#: must reject it rather than silently ignore it; --batch-size and
-#: --workers are bit-identical knobs and are safe to ignore.
-_SHARDS_COMMANDS = frozenset(
-    {"fig4", "fig6", "fig8", "fig9", "fig10", "ingest-collect", "serve"}
-)
+_POSITIVE_INT = _checked(int, lambda value: value > 0, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "positive")
+_NON_NEGATIVE_FLOAT = _checked(float, lambda value: value >= 0, "non-negative")
 
-#: Commands that can execute sharded fills over a remote transport.
-#: --transport never changes results (remote routing equals local routing),
-#: but commands that would silently ignore it must reject it.
-_TRANSPORT_COMMANDS = frozenset({"fig4", "fig6", "fig8", "fig9", "ingest-collect"})
+#: Seconds between ``query --watch`` polls: the default of ``--interval``.
+#: A given ``--interval`` parses to a new float object, so
+#: ``args.interval is not _WATCH_INTERVAL_S`` says the flag was given (the
+#: identity test argparse itself applies to mutually exclusive flags).
+_WATCH_INTERVAL_S = 1.0
 
-#: Which commands honour each connection-oriented flag.  Same policy as
-#: --shards/--transport: a flag a command would silently ignore must be
-#: rejected, never swallowed.
-_FLAG_COMMANDS = {
-    "--algorithm": frozenset({"ingest-collect", "serve"}),
-    "--memory-bytes": frozenset({"ingest-collect", "serve"}),
-    "--count": frozenset({"ingest-collect", "query"}),
-    "--skew": frozenset({"ingest-collect", "query"}),
-    "--bind": frozenset({"ingest-collect", "serve"}),
-    "--connect": frozenset({"ingest-worker", "query"}),
-    "--verify": frozenset({"ingest-collect"}),
-    "--partitions": frozenset({"ingest-collect"}),
-    "--reshard": frozenset({"ingest-collect"}),
-    "--publish-every": frozenset({"serve"}),
-    "--async": frozenset({"serve"}),
-    "--max-inflight": frozenset({"serve"}),
-    "--drain-timeout": frozenset({"serve"}),
-    "--backlog": frozenset({"serve"}),
-    "--max-tracked-keys": frozenset({"serve"}),
-    "--keys": frozenset({"query"}),
-    "--top-k": frozenset({"query"}),
-    "--stats": frozenset({"query"}),
-    "--pipeline": frozenset({"query"}),
-    "--epoch": frozenset({"query"}),
-    "--window": frozenset({"query"}),
-    "--watch": frozenset({"query"}),
-    "--interval": frozenset({"query"}),
-    "--ring-epochs": frozenset({"serve"}),
-    "--store": frozenset(
-        {"serve", "ingest-collect", "store-inspect", "store-verify", "store-compact"}
-    ),
-    "--store-retain": frozenset({"store-compact"}),
-    "--heartbeat-interval": frozenset({"ingest-collect"}),
-    "--heartbeat-timeout": frozenset({"ingest-collect"}),
-}
+_TRANSPORTS = ("inproc", "pipe", "tcp")
+
+
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser of one flag, shared by the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Argument parser of the ``repro-cli`` entry point."""
+    """Argument parser of the ``repro-cli`` entry point.
+
+    One subparser per command, holding only the flags its handler reads;
+    ``repro-cli <command> --help`` lists them with their defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-cli", description="Regenerate tables and figures of the ReliableSketch paper."
     )
-    parser.add_argument("experiment", choices=sorted(_COMMANDS), help="table/figure to regenerate")
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE,
-                        help="stream scale relative to the paper (default: %(default)s)")
-    parser.add_argument("--tolerance", type=float, default=25.0, help="error tolerance Lambda")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--dataset", default="ip",
-                        help="dataset for the single-dataset experiments fig4 and fig10; "
-                             "other figures sweep their own fixed dataset lists "
-                             "(default: %(default)s)")
-    parser.add_argument("--batch-size", type=int, default=None, dest="batch_size",
-                        help="chunk size for the batch datapath; omit for the scalar loop "
-                             "(results are bit-identical, only speed changes)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="hash-partitioned shards per sketch; each shard is a "
-                             "full-budget replica, so results model the distributed "
-                             "deployment (S x memory, typically fewer collisions) and "
-                             "are not comparable to --shards 1 curves "
-                             "(default: %(default)s)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for grid sweeps; 0 = one per CPU core "
-                             "(results are bit-identical, only speed changes; "
-                             "default: %(default)s)")
-    parser.add_argument("--transport", choices=("inproc", "pipe", "tcp"), default=None,
-                        help="run sharded fills on remote ingest workers over this "
-                             "backend (results are bit-identical: remote routing "
-                             "equals local routing); required form of ingest-collect")
-    # Connection-oriented flags default to None sentinels so main() can
-    # reject their use on commands that would silently ignore them (the
-    # --shards policy); the commands fill in the documented defaults.
-    ingest = parser.add_argument_group(
-        "distributed ingest", "options of ingest-collect / ingest-worker"
-    )
-    ingest.add_argument("--algorithm", default=None,
-                        help="registry name of the sketch to ingest into / serve "
-                             "(snapshotable families: CM_*/CU_*/Count/Ours/Ours(Raw); "
-                             "default: CM_fast)")
-    ingest.add_argument("--memory-bytes", type=float, default=None, dest="memory_bytes",
-                        help="per-worker / served sketch memory budget (default: 65536)")
-    ingest.add_argument("--count", type=int, default=None,
-                        help="synthetic stream length: ingest-collect's stream, or the "
-                             "demo write stream of query (default: 200000 / off)")
-    ingest.add_argument("--skew", type=float, default=None,
-                        help="Zipf skew of the synthetic stream (default: 1.1)")
-    ingest.add_argument("--bind", default=None, metavar="HOST:PORT",
-                        help="ingest-collect (tcp): wait for external ingest-worker "
-                             "processes on this address instead of self-hosting "
-                             "threads; serve: listen address (default: 127.0.0.1:29462)")
-    ingest.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="ingest-worker: collector address to dial "
-                             "(default: 127.0.0.1:29461); query: server address "
-                             "(default: 127.0.0.1:29462)")
-    ingest.add_argument("--verify", action="store_true",
-                        help="ingest-collect: re-ingest locally and check the merged "
-                             "sketch against single-node ingest and the routed "
-                             "answers against local sharded ingest")
-    ingest.add_argument("--partitions", type=int, default=None,
-                        help="ingest-collect: hash keys to this many fixed "
-                             "partitions (>= --shards); partitions, not "
-                             "workers, are the unit of state migration "
-                             "(default: --shards, or 2 x --shards with "
-                             "--reshard)")
-    ingest.add_argument("--reshard", action="store_true",
-                        help="ingest-collect: split the busiest worker a third of "
-                             "the way into the stream and merge it back at two "
-                             "thirds — a live quiesce/snapshot/epoch-flip/handoff "
-                             "demo; needs at least 3 batches and more partitions "
-                             "than workers (combine with --verify for the "
-                             "bit-identity check)")
-    serving = parser.add_argument_group(
-        "online serving", "options of serve / query"
-    )
-    serving.add_argument("--publish-every", type=int, default=None, dest="publish_every",
-                         help="serve: epoch length in items — readers lag ingest by at "
-                              "most this many items (default: 8192)")
-    serving.add_argument("--async", action="store_true", dest="async_mode",
-                         help="serve: accepted for compatibility; serve always "
-                              "multiplexes concurrent connections on one event "
-                              "loop (pipelined frames, bounded in-flight "
-                              "queries, graceful drain)")
-    serving.add_argument("--max-inflight", type=int, default=None, dest="max_inflight",
-                         help="serve: bound on globally queued queries; "
-                              "excess requests get a typed BUSY reply "
-                              "(default: 1024)")
-    serving.add_argument("--drain-timeout", type=float, default=None, dest="drain_timeout",
-                         help="serve: upper bound in seconds on the "
-                              "graceful drain at shutdown (default: 10)")
-    serving.add_argument("--backlog", type=int, default=None,
-                         help="serve: listener pending-accept queue length "
-                              "(default: 128)")
-    serving.add_argument("--max-tracked-keys", type=int, default=None,
-                         dest="max_tracked_keys",
-                         help="serve: bound the top-k key directory to this many "
-                              "heavy-hitter candidates (min-estimate pruning; "
-                              "default: unbounded); no effect on families that "
-                              "store keys, whose interner is the directory")
-    serving.add_argument("--keys", default=None, metavar="K1,K2,...",
-                         help="query: comma-separated keys to estimate")
-    serving.add_argument("--top-k", type=int, default=None, dest="top_k",
-                         help="query: print the server's k heaviest keys")
-    serving.add_argument("--stats", action="store_true",
-                         help="query: print the service's epoch, staleness, "
-                              "directory and store stats")
-    serving.add_argument("--pipeline", type=int, default=None,
-                         help="query: issue the --keys estimates as pipelined "
-                              "single-key requests with this many in flight "
-                              "(demonstrates in-order pipelined replies)")
-    serving.add_argument("--epoch", type=int, default=None,
-                         help="query: pin --keys/--top-k to this published epoch "
-                              "instead of the latest one; an epoch evicted from "
-                              "the server's ring is a typed EPOCH_GONE rejection")
-    serving.add_argument("--window", type=int, default=None,
-                         help="query: estimate --keys over the last N epochs only "
-                              "(exact epoch-delta subtraction; CM/Count families)")
-    serving.add_argument("--watch", type=int, default=None,
-                         help="query: poll --top-k this many rounds and print a "
-                              "JSON change report (surges/drops/churn) per round")
-    serving.add_argument("--interval", type=float, default=None,
-                         help="query --watch: seconds between polls (default: 1)")
-    serving.add_argument("--ring-epochs", type=int, default=None, dest="ring_epochs",
-                         help="serve: how many published epochs stay pinnable for "
-                              "--epoch/--window reads (default: 8)")
-    durability = parser.add_argument_group(
-        "durability", "options of serve --store / ingest-collect --store / store-*"
-    )
-    durability.add_argument("--store", default=None, metavar="DIR",
-                            help="serve: journal every ingest batch and persist every "
-                                 "published epoch under DIR, warm-starting from it on "
-                                 "restart; ingest-collect: persist partition "
-                                 "checkpoints under DIR and resume from them; "
-                                 "store-*: the directory to operate on")
-    durability.add_argument("--store-retain", type=int, default=None, dest="store_retain",
-                            help="store-compact: keep this many newest epoch "
-                                 "snapshots (default: 2)")
-    durability.add_argument("--heartbeat-interval", type=float, default=None,
-                            dest="heartbeat_interval",
-                            help="ingest-collect: probe worker liveness between "
-                                 "chunks at this wall-clock cadence in seconds "
-                                 "(default: only on failure signals)")
-    durability.add_argument("--heartbeat-timeout", type=float, default=None,
-                            dest="heartbeat_timeout",
-                            help="ingest-collect: declare a worker dead if a "
-                                 "heartbeat ack takes longer than this many "
-                                 "seconds — hung workers are recovered like dead "
-                                 "ones (default: wait forever)")
+    commands = parser.add_subparsers(dest="experiment", required=True, metavar="command")
+
+    def command(name, handler, summary, parents=()):
+        sub = commands.add_parser(name, help=summary, description=summary, parents=list(parents))
+        sub.set_defaults(handler=handler)
+        return sub
+
+    scale = _flag("--scale", type=float, default=DEFAULT_SCALE,
+                  help="stream scale relative to the paper (default: %(default)s)")
+    tolerance = _flag("--tolerance", type=float, default=25.0,
+                      help="error tolerance Lambda (default: %(default)s)")
+    seed = _flag("--seed", type=int, default=0, help="random seed (default: %(default)s)")
+    workers = _flag("--workers", type=_NON_NEGATIVE_INT, default=1,
+                    help="process-pool width for grid sweeps; 0 = one per CPU core "
+                         "(results are bit-identical, only speed changes; "
+                         "default: %(default)s)")
+    dataset = _flag("--dataset", default="ip", help="dataset to run on (default: %(default)s)")
+    batch_size = _flag("--batch-size", type=_POSITIVE_INT, default=None,
+                       help="chunk size for the batch datapath; omit for the scalar loop "
+                            "(results are bit-identical, only speed changes)")
+    shards = _flag("--shards", type=_POSITIVE_INT, default=1,
+                   help="hash-partitioned shards per sketch; each shard is a "
+                        "full-budget replica, so results model the distributed "
+                        "deployment (S x memory, typically fewer collisions) and "
+                        "are not comparable to --shards 1 curves "
+                        "(default: %(default)s)")
+    transport = _flag("--transport", choices=_TRANSPORTS, default=None,
+                      help="run sharded fills on remote ingest workers over this "
+                           "backend (results are bit-identical: remote routing "
+                           "equals local routing)")
+    sweep = (scale, tolerance, seed, workers)
+    sharded = (batch_size, shards, transport)
+    aae = f"AAE <= {parameters.TARGET_AAE:g}"
+    for name, handler, summary, parents in (
+        ("table1", _cmd_table1, "Table 1: complexity of the sketch families", ()),
+        ("table3", _cmd_table3, "Table 3: FPGA synthesis model of ReliableSketch", ()),
+        ("table4", _cmd_table4, "Table 4: Tofino pipeline resource usage", ()),
+        ("fig4", _cmd_fig4, "Figure 4: #outliers vs memory", (dataset, *sweep, *sharded)),
+        ("fig5", _cmd_fig5, "Figure 5: minimum memory for zero outliers", sweep),
+        ("fig6", _cmd_fig6, "Figure 6: #outliers vs memory on four datasets",
+         (*sweep, *sharded)),
+        ("fig7", _cmd_fig7, "Figure 7: worst-case #outliers among frequent keys", sweep),
+        ("fig8", _cmd_fig8, "Figure 8: AAE vs memory", (scale, seed, workers, *sharded)),
+        ("fig9", _cmd_fig9, "Figure 9: ARE vs memory", (scale, seed, workers, *sharded)),
+        ("fig10", _cmd_fig10, "Figure 10: insert and query throughput",
+         (dataset, scale, seed, batch_size, shards)),
+        ("fig11", _cmd_fig11, "Figure 11: zero-outlier memory vs R_w", sweep),
+        ("fig12", _cmd_fig12, f"Figure 12: memory for {aae} vs R_w", sweep),
+        ("fig13", _cmd_fig13, "Figure 13: zero-outlier memory vs R_lambda", sweep),
+        ("fig14", _cmd_fig14, f"Figure 14: memory for {aae} vs R_lambda", sweep),
+        ("fig15", _cmd_fig15, f"Figure 15: memory vs Lambda, zero outliers (a) and {aae} (b)",
+         (scale, seed, workers)),
+        ("fig16", _cmd_fig16, "Figure 16: hash calls per insert and query",
+         (scale, seed, workers)),
+        ("fig17", _cmd_fig17, "Figure 17: sensed error intervals contain the truth",
+         (scale, seed)),
+        ("fig18", _cmd_fig18, "Figure 18: sensed vs actual error", (scale, seed)),
+        ("fig19", _cmd_fig19, "Figure 19: keys per layer vs memory", (scale, seed)),
+        ("fig20", _cmd_fig20, "Figure 20: Tofino testbed accuracy vs SRAM", (seed,)),
+    ):
+        command(name, handler, summary, parents)
+
+    algorithm = _flag("--algorithm", default="CM_fast",
+                      help="registry name of the sketch; snapshotable families "
+                           "(CM_*, CU_*, Count, Ours, Ours(Raw)) for ingest-collect "
+                           "and serve --store (default: %(default)s)")
+    memory_bytes = _flag("--memory-bytes", type=float, default=64 * 1024,
+                         help="sketch memory budget in bytes, per worker for "
+                              "ingest-collect (default: %(default)s)")
+    skew = _flag("--skew", type=float, default=1.1,
+                 help="Zipf skew of the synthetic stream (default: %(default)s)")
+
+    collect = command("ingest-collect", _cmd_ingest_collect,
+                      "distribute a synthetic stream over ingest workers and merge the result",
+                      (algorithm, memory_bytes, seed, skew))
+    collect.add_argument("--count", type=int, default=200_000,
+                         help="synthetic stream length (default: %(default)s)")
+    collect.add_argument("--batch-size", type=_POSITIVE_INT, default=8192,
+                         help="items per routed batch (default: %(default)s)")
+    collect.add_argument("--shards", type=_POSITIVE_INT, default=1,
+                         help="ingest workers (default: %(default)s)")
+    collect.add_argument("--transport", choices=_TRANSPORTS, default="inproc",
+                         help="backend between the collector and its workers "
+                              "(default: %(default)s)")
+    collect.add_argument("--partitions", type=int, default=None,
+                         help="hash keys to this many fixed partitions (>= --shards); "
+                              "partitions, not workers, are the unit of state "
+                              "migration (default: --shards, or 2 x --shards with "
+                              "--reshard)")
+    collect.add_argument("--bind", default=None, metavar="HOST:PORT",
+                         help="with --transport tcp: wait for external ingest-worker "
+                              "processes on this address instead of self-hosting "
+                              "threads")
+    collect.add_argument("--verify", action="store_true",
+                         help="re-ingest locally and check the merged sketch against "
+                              "single-node ingest and the routed answers against "
+                              "local sharded ingest")
+    collect.add_argument("--reshard", action="store_true",
+                         help="split the busiest worker a third of the way into the "
+                              "stream and merge it back at two thirds — a live "
+                              "quiesce/snapshot/epoch-flip/handoff demo; needs at "
+                              "least 3 batches and more partitions than workers "
+                              "(combine with --verify for the bit-identity check)")
+    collect.add_argument("--store", default=None, metavar="DIR",
+                         help="persist partition checkpoints under DIR and resume "
+                              "from them")
+    collect.add_argument("--heartbeat-interval", type=_POSITIVE_FLOAT, default=None,
+                         help="probe worker liveness between chunks at this "
+                              "wall-clock cadence in seconds (default: only on "
+                              "failure signals)")
+    collect.add_argument("--heartbeat-timeout", type=_POSITIVE_FLOAT, default=None,
+                         help="declare a worker dead if a heartbeat ack takes longer "
+                              "than this many seconds — hung workers are recovered "
+                              "like dead ones (default: wait forever)")
+
+    worker = command("ingest-worker", _cmd_ingest_worker,
+                     "run one standalone TCP ingest worker until the collector shuts it down")
+    worker.add_argument("--connect", default="127.0.0.1:29461", metavar="HOST:PORT",
+                        help="collector address to dial (default: %(default)s)")
+
+    serve = command("serve", _cmd_serve,
+                    "serve one sketch online over TCP, snapshot-isolated reads "
+                    "concurrent with ingest", (algorithm, memory_bytes, seed))
+    serve.add_argument("--shards", type=_POSITIVE_INT, default=1,
+                       help="serve a hash-partitioned sketch of this many "
+                            "full-budget replicas (default: %(default)s)")
+    serve.add_argument("--bind", default="127.0.0.1:29462", metavar="HOST:PORT",
+                       help="listen address (default: %(default)s)")
+    serve.add_argument("--publish-every", type=_POSITIVE_INT, default=8192,
+                       help="epoch length in items — readers lag ingest by at most "
+                            "this many items (default: %(default)s)")
+    serve.add_argument("--ring-epochs", type=_POSITIVE_INT, default=8,
+                       help="how many published epochs stay pinnable for "
+                            "query --epoch/--window (default: %(default)s)")
+    serve.add_argument("--max-tracked-keys", type=_POSITIVE_INT, default=None,
+                       help="bound the top-k key directory to this many heavy-hitter "
+                            "candidates (min-estimate pruning; default: unbounded); "
+                            "no effect on families that store keys, whose interner "
+                            "is the directory")
+    serve.add_argument("--max-inflight", type=_POSITIVE_INT, default=1024,
+                       help="bound on globally queued queries; excess requests get "
+                            "a typed BUSY reply (default: %(default)s)")
+    serve.add_argument("--backlog", type=_POSITIVE_INT, default=128,
+                       help="listener pending-accept queue length (default: %(default)s)")
+    serve.add_argument("--drain-timeout", type=_POSITIVE_FLOAT, default=10.0,
+                       help="upper bound in seconds on the graceful drain at "
+                            "shutdown (default: %(default)s)")
+    serve.add_argument("--store", default=None, metavar="DIR",
+                       help="journal every ingest batch and persist every published "
+                            "epoch under DIR, warm-starting from it on restart")
+    serve.add_argument("--async", action="store_true", dest="async_mode",
+                       help="accepted for compatibility and changes nothing: serve "
+                            "always multiplexes connections on one event loop")
+
+    query = command("query", _cmd_query, "talk to a running serve endpoint", (seed, skew))
+    query.add_argument("--connect", default="127.0.0.1:29462", metavar="HOST:PORT",
+                       help="server address (default: %(default)s)")
+    query.add_argument("--count", type=int, default=None,
+                       help="first write a synthetic Zipf stream of this many items")
+    query.add_argument("--keys", default=None, metavar="K1,K2,...",
+                       help="comma-separated keys to estimate")
+    query.add_argument("--top-k", type=_POSITIVE_INT, default=None,
+                       help="print the server's k heaviest keys")
+    query.add_argument("--stats", action="store_true",
+                       help="print the service's epoch, staleness, directory and "
+                            "store stats")
+    reads = query.add_mutually_exclusive_group()
+    reads.add_argument("--pipeline", type=_POSITIVE_INT, default=None,
+                       help="issue the --keys estimates as pipelined single-key "
+                            "requests with this many in flight")
+    reads.add_argument("--epoch", type=_NON_NEGATIVE_INT, default=None,
+                       help="pin --keys/--top-k to this published epoch instead of "
+                            "the latest one; an epoch evicted from the server's "
+                            "ring is a typed EPOCH_GONE rejection")
+    reads.add_argument("--window", type=_POSITIVE_INT, default=None,
+                       help="estimate --keys over the last N epochs only (exact "
+                            "epoch-delta subtraction; CM/Count families)")
+    query.add_argument("--watch", type=_POSITIVE_INT, default=None,
+                       help="poll --top-k this many rounds and print a JSON change "
+                            "report (surges/drops/churn) per round")
+    query.add_argument("--interval", type=_NON_NEGATIVE_FLOAT, default=_WATCH_INTERVAL_S,
+                       help="--watch: seconds between polls (default: %(default)s)")
+
+    store = _flag("--store", required=True, metavar="DIR",
+                  help="the store directory to operate on")
+    command("store-inspect", _cmd_store_inspect,
+            "audit a durable store directory without modifying anything", (store,))
+    command("store-verify", _cmd_store_verify,
+            "run a full recovery pass and report what a warm start would load", (store,))
+    compact = command("store-compact", _cmd_store_compact,
+                      "apply the retention policy to a store directory", (store,))
+    compact.add_argument("--store-retain", type=_POSITIVE_INT, default=2,
+                         help="keep this many newest epoch snapshots (default: %(default)s)")
     return parser
 
 
@@ -899,151 +944,23 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.batch_size is not None and args.batch_size <= 0:
-        parser.error("--batch-size must be a positive integer")
-    if args.shards <= 0:
-        parser.error("--shards must be a positive integer")
-    if args.shards > 1 and args.experiment not in _SHARDS_COMMANDS:
-        parser.error(
-            f"--shards is not supported by {args.experiment} "
-            f"(supported: {', '.join(sorted(_SHARDS_COMMANDS))})"
-        )
-    if args.workers < 0:
-        parser.error("--workers must be >= 0 (0 = one per CPU core)")
-    if args.max_tracked_keys is not None and args.max_tracked_keys <= 0:
-        parser.error("--max-tracked-keys must be a positive integer")
-    if args.transport is not None and args.experiment not in _TRANSPORT_COMMANDS:
-        parser.error(
-            f"--transport is not supported by {args.experiment} "
-            f"(supported: {', '.join(sorted(_TRANSPORT_COMMANDS))})"
-        )
-    flag_values = {
-        "--algorithm": args.algorithm,
-        "--memory-bytes": args.memory_bytes,
-        "--count": args.count,
-        "--skew": args.skew,
-        "--bind": args.bind,
-        "--connect": args.connect,
-        "--verify": args.verify or None,
-        "--partitions": args.partitions,
-        "--reshard": args.reshard or None,
-        "--publish-every": args.publish_every,
-        "--async": args.async_mode or None,
-        "--max-inflight": args.max_inflight,
-        "--drain-timeout": args.drain_timeout,
-        "--backlog": args.backlog,
-        "--max-tracked-keys": args.max_tracked_keys,
-        "--keys": args.keys,
-        "--top-k": args.top_k,
-        "--stats": args.stats or None,
-        "--pipeline": args.pipeline,
-        "--epoch": args.epoch,
-        "--window": args.window,
-        "--watch": args.watch,
-        "--interval": args.interval,
-        "--ring-epochs": args.ring_epochs,
-        "--store": args.store,
-        "--store-retain": args.store_retain,
-        "--heartbeat-interval": args.heartbeat_interval,
-        "--heartbeat-timeout": args.heartbeat_timeout,
-    }
-    for flag, value in flag_values.items():
-        if value is not None and args.experiment not in _FLAG_COMMANDS[flag]:
-            parser.error(
-                f"{flag} is only supported by "
-                f"{' / '.join(sorted(_FLAG_COMMANDS[flag]))}"
-            )
-    if args.experiment == "ingest-collect" and args.bind is not None and args.transport != "tcp":
-        parser.error("--bind requires --transport tcp")
-    if args.partitions is not None and args.partitions < max(args.shards, 1):
-        parser.error("--partitions must be at least --shards")
-    if args.publish_every is not None and args.publish_every <= 0:
-        parser.error("--publish-every must be a positive integer")
-    if args.max_inflight is not None and args.max_inflight <= 0:
-        parser.error("--max-inflight must be a positive integer")
-    if args.drain_timeout is not None and args.drain_timeout <= 0:
-        parser.error("--drain-timeout must be positive")
-    if args.backlog is not None and args.backlog <= 0:
-        parser.error("--backlog must be a positive integer")
-    if args.top_k is not None and args.top_k <= 0:
-        parser.error("--top-k must be a positive integer")
-    if args.pipeline is not None and args.pipeline <= 0:
-        parser.error("--pipeline must be a positive integer")
-    if args.pipeline is not None and not args.keys:
-        parser.error("--pipeline requires --keys")
-    if args.epoch is not None and args.epoch < 0:
-        parser.error("--epoch must be a non-negative epoch id")
-    if args.window is not None and args.window <= 0:
-        parser.error("--window must be a positive number of epochs")
-    if args.epoch is not None and args.window is not None:
-        parser.error("--epoch and --window are mutually exclusive")
-    if args.window is not None and not args.keys:
-        parser.error("--window requires --keys")
-    if (args.epoch is not None or args.window is not None) and args.pipeline is not None:
-        parser.error("--epoch/--window cannot be combined with --pipeline")
-    if args.epoch is not None and not (args.keys or args.top_k):
-        parser.error("--epoch requires --keys or --top-k")
-    if args.watch is not None and args.watch <= 0:
-        parser.error("--watch must be a positive number of rounds")
-    if args.watch is not None and not args.top_k:
-        parser.error("--watch requires --top-k")
-    if args.watch is not None and args.epoch is not None:
-        parser.error("--watch polls the live ranking; it cannot pin --epoch")
-    if args.interval is not None and args.interval < 0:
-        parser.error("--interval must be non-negative")
-    if args.interval is not None and args.watch is None:
-        parser.error("--interval requires --watch")
-    if args.ring_epochs is not None and args.ring_epochs <= 0:
-        parser.error("--ring-epochs must be a positive integer")
-    if args.experiment.startswith("store-") and args.store is None:
-        parser.error(f"{args.experiment} requires --store DIR")
-    if args.store_retain is not None and args.store_retain <= 0:
-        parser.error("--store-retain must be a positive integer")
-    if args.heartbeat_interval is not None and args.heartbeat_interval <= 0:
-        parser.error("--heartbeat-interval must be positive")
-    if args.heartbeat_timeout is not None and args.heartbeat_timeout <= 0:
-        parser.error("--heartbeat-timeout must be positive")
-    if args.experiment == "ingest-collect" and args.store is not None and args.verify:
-        parser.error(
-            "--verify cannot be combined with --store: a resumed fleet "
-            "carries prior runs' history, which local re-ingest cannot mirror"
-        )
-    if args.experiment in ("ingest-collect", "serve"):
-        from repro.sketches.registry import supports_snapshots
-
-        algorithm = args.algorithm or "CM_fast"
-        try:
-            snapshotable = supports_snapshots(algorithm)
-        except ValueError as error:
-            parser.error(str(error))
-        if args.experiment == "ingest-collect" and not snapshotable:
-            parser.error(
-                f"--algorithm {algorithm} cannot be collected remotely; pick a "
-                "snapshotable family (CM_fast, CM_acc, CU_fast, CU_acc, Count, "
-                "Ours, Ours(Raw))"
-            )
-        if args.experiment == "serve" and args.store is not None and not snapshotable:
-            parser.error(
-                f"--store needs a snapshotable algorithm, and {algorithm} is not "
-                "(pick CM_fast, CM_acc, CU_fast, CU_acc, Count, Ours, or Ours(Raw))"
-            )
-    command = _COMMANDS[args.experiment]
     if args.experiment.startswith(("ingest-", "store-")) or args.experiment in ("serve", "query"):
         # Bad addresses, unreachable peers, ports in use, workers that never
-        # dial in, an unrecoverable store directory, or a typed server
-        # rejection (an --epoch pin the ring has evicted) surface as clean
-        # argparse errors, not tracebacks (ValueError from parsing,
-        # OSError/timeout from sockets and pipes, StoreError from recovery,
-        # QueryRejectedError from the serving protocol).
+        # dial in, an unrecoverable store directory, a typed server
+        # rejection (an --epoch pin the ring has evicted) or flags that do
+        # not fit together surface as clean argparse errors, not tracebacks
+        # (ValueError from parsing and checks, OSError/timeout from sockets
+        # and pipes, StoreError from recovery, QueryRejectedError from the
+        # serving protocol).
         from repro.serve.errors import QueryRejectedError
         from repro.store import StoreError
 
         try:
-            command(args)
+            args.handler(args)
         except (ValueError, OSError, StoreError, QueryRejectedError) as error:
             parser.error(str(error) or type(error).__name__)
     else:
-        command(args)
+        args.handler(args)
     return 0
 
 

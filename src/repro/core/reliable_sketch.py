@@ -147,7 +147,6 @@ class ReliableSketch(Sketch):
         #: (index depth means "filter only"); used by Figure 19a.
         self.inserts_settled_per_layer = [0] * (config.depth + 1)
         self._insert_count = 0
-        self._query_count = 0
 
     # ------------------------------------------------------------ factories
     @classmethod
@@ -313,7 +312,6 @@ class ReliableSketch(Sketch):
         bucket matches when it holds ``key`` itself (its id's key equals
         ``key``), so the query resolves no key to an id.
         """
-        self._query_count += 1
         estimate = 0
         mpe = 0
         if self._filter is not None:
@@ -355,7 +353,6 @@ class ReliableSketch(Sketch):
         """
         batch = EncodedKeyBatch(keys)
         count = len(batch)
-        self._query_count += count
         estimates = np.zeros(count, dtype=np.int64)
         if self._filter is not None:
             estimates += self._filter.query_batch(batch)
@@ -434,9 +431,10 @@ class ReliableSketch(Sketch):
         if self._filter is not None:
             state["filter_tables"] = self._filter.state_snapshot()
         state["settled"] = np.asarray(self.inserts_settled_per_layer, dtype=np.int64)
+        # The fourth slot, once a query count, is kept at 0 so that reads
+        # leave the snapshot unchanged and snapshot-v1 files keep their bytes.
         state["stats"] = np.asarray(
-            [self.insert_failures, self.failed_value, self._insert_count, self._query_count],
-            dtype=np.int64,
+            [self.insert_failures, self.failed_value, self._insert_count, 0], dtype=np.int64
         )
         return state
 
@@ -494,7 +492,6 @@ class ReliableSketch(Sketch):
         self.insert_failures = int(stats[0])
         self.failed_value = int(stats[1])
         self._insert_count = int(stats[2])
-        self._query_count = int(stats[3])
 
     def copy_state_into(self, peer: "ReliableSketch") -> None:
         """Copy the whole state into ``peer`` as arrays (epoch replicas).
@@ -537,7 +534,6 @@ class ReliableSketch(Sketch):
         peer.insert_failures = self.insert_failures
         peer.failed_value = self.failed_value
         peer._insert_count = self._insert_count
-        peer._query_count = self._query_count
 
     def _geometry(self) -> tuple[list[int], tuple[int, int] | None]:
         """Layer widths and mice-filter table shape (``None`` without a filter)."""
@@ -610,10 +606,6 @@ class ReliableSketch(Sketch):
         self._family.reset_counters()
         if self._filter is not None:
             self._filter.reset_hash_calls()
-
-    def operation_counts(self) -> tuple[int, int]:
-        """Number of insert and query operations performed so far."""
-        return self._insert_count, self._query_count
 
     def parameters(self) -> dict:
         params = self.config.describe()

@@ -17,6 +17,9 @@ from repro.core.reliable_sketch import ReliableSketch
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.streams.items import Stream
 
+#: The AAE that the memory searches of Figures 12, 14 and 15b must reach.
+TARGET_AAE = 5.0
+
 
 @dataclass(frozen=True)
 class ParameterPoint:

@@ -44,9 +44,11 @@ The moving parts, in the order a request meets them::
 ``MSG_BATCH`` ingest frames flow through the same per-connection order as
 queries (never rejected — a fire-and-forget write has no reply to carry a
 BUSY), so a pipelined ``ingest … flush … query`` sequence keeps its
-read-your-writes meaning.  A client that hangs up cleanly (EOF, or a
-``MSG_SHUTDOWN`` frame) still has every write it sent before leaving
-ingested; its unanswered queries are dropped.
+read-your-writes meaning.  A client that leaves, cleanly (EOF, or a
+``MSG_SHUTDOWN`` frame) or on a read-side error (a truncated frame, a bad
+header), still has every complete write it sent before leaving ingested;
+its unanswered queries are dropped, and so are its writes queued behind
+one the service refused.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class _Connection:
         self.closed = False
         #: Set when MSG_SHUTDOWN arrives: close once all replies are out.
         self.close_after_replies = False
+        #: Set when servicing one of its tasks was refused: later writes drop.
+        self.refused = False
         self.want_write = False
 
 
@@ -396,10 +400,11 @@ class AsyncSketchServer:
             connection = task.connection
             if task.msg_type == MSG_QUERY:
                 self._inflight_queries -= 1
-            if connection.closed and (task.slot is not None or connection.stats.error):
-                # Nobody is left to answer, or the connection ended on an
-                # error.  A peer that hung up cleanly (EOF or MSG_SHUTDOWN)
-                # sent its queued writes before leaving: they are ingested.
+            if connection.closed and (task.slot is not None or connection.refused):
+                # Nobody is left to answer, or an earlier task of this peer
+                # was refused.  Writes that fully arrived before the peer
+                # left are ingested, whether it hung up cleanly or its read
+                # side failed (a truncated frame, a bad header, a reset).
                 continue
             try:
                 if task.msg_type == MSG_BATCH:
@@ -415,12 +420,14 @@ class AsyncSketchServer:
                     self.stats.queries_served += 1
             except WireFormatError as error:
                 self.stats.frame_errors += 1
+                connection.refused = True
                 self._close_connection(connection, error=str(error))
                 continue
             except KeyInternerOverflowError as error:
                 # The service refused the batch before journaling it; only
                 # its sender is dropped, the loop keeps serving.
                 self.stats.batches_rejected += 1
+                connection.refused = True
                 self._close_connection(connection, error=str(error))
                 continue
             self._flush_ready_replies(connection)
@@ -478,8 +485,7 @@ class AsyncSketchServer:
     def _close_connection(self, connection: _Connection, error: str | None) -> None:
         if connection.closed:
             if error is not None:
-                # A queued write of a peer that already hung up was refused:
-                # its later writes are dropped, as an open connection's are.
+                # A queued task of a peer that already left was refused.
                 connection.stats.error = error
             return
         connection.closed = True

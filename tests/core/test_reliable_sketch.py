@@ -180,11 +180,8 @@ class TestDiagnostics:
     def test_operation_counters(self):
         sketch = make_sketch()
         sketch.insert("a")
-        sketch.insert("b")
-        sketch.query("a")
-        inserts, queries = sketch.operation_counts()
-        assert inserts == 2
-        assert queries == 1
+        sketch.insert_batch(["b", "c"])
+        assert sketch.state_snapshot()["stats"][2] == 3  # inserts
 
     def test_hash_call_accounting_resets(self):
         sketch = make_sketch()

@@ -248,19 +248,31 @@ def test_mid_frame_disconnect_closes_only_that_connection():
     assert stats.queries_served >= 1
 
 
-@pytest.mark.parametrize("hang_up", ("shutdown_frame", "eof"))
-def test_writes_sent_before_a_clean_hang_up_are_ingested(hang_up):
+#: How a fire-and-forget writer leaves after its last write: the bytes it
+#: sends after the writes, and whether it then closes its sending side.
+HANG_UPS = {
+    "shutdown_frame": (encode_frame(MSG_SHUTDOWN), False),
+    "eof": (b"", True),
+    "truncated_frame": (
+        encode_frame(MSG_QUERY, encode_query_request(1, QUERY_KEYS, keys=[7]))[:-3], True
+    ),
+    "bad_header": (b"GET / HTTP/1.1\r\n\r\n", False),
+}
+
+
+@pytest.mark.parametrize("hang_up", sorted(HANG_UPS))
+def test_writes_sent_before_a_hang_up_are_ingested(hang_up):
     """A fire-and-forget client may leave right after its last write, with
-    a MSG_SHUTDOWN frame or by closing its side: every write it sent is
-    ingested, though the server closes the connection before serving them."""
+    a MSG_SHUTDOWN frame, by closing its side, or on a last frame cut short
+    or with a bad header: every complete write it sent is ingested, though
+    the server closes the connection before serving them."""
+    tail, close_sending_side = HANG_UPS[hang_up]
     # One task per loop tick, so the hang-up is read while writes still queue.
     with make_session("CM_fast", service_batch=1) as session:
         writer = raw_connect(session)
         frames = encode_frame(MSG_BATCH, encode_batch([7, 7, 7], [1, 1, 1])) * 4
-        if hang_up == "shutdown_frame":
-            writer.sendall(frames + encode_frame(MSG_SHUTDOWN))
-        else:
-            writer.sendall(frames)
+        writer.sendall(frames + tail)
+        if close_sending_side:
             writer.shutdown(socket.SHUT_WR)
         assert writer.recv(1) == b""  # the server closed its side
         writer.close()
@@ -271,7 +283,8 @@ def test_writes_sent_before_a_clean_hang_up_are_ingested(hang_up):
         stats = session.shutdown()
     assert estimates.tolist() == [12]
     assert stats.batches_ingested == 4
-    assert (stats.closed_clean, stats.closed_error) == (2, 0)
+    errors = 1 if hang_up in ("truncated_frame", "bad_header") else 0
+    assert (stats.closed_clean, stats.closed_error) == (2 - errors, errors)
 
 
 def test_a_refused_write_of_a_departed_client_drops_its_later_writes():

@@ -170,9 +170,8 @@ def publish_keys(kind, count=6000, seed=13):
 
 def reliable_view(sketch, keys):
     """A ReliableSketch's answers, error bounds and statistics."""
-    operation_counts = sketch.operation_counts()
     return (
-        operation_counts,
+        sketch.state_snapshot()["stats"].tolist(),
         sketch.query_batch(keys).tolist(),
         [
             (result.estimate, result.mpe, result.layers_visited)

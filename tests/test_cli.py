@@ -7,6 +7,14 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import parameters
+
+#: Every repro-cli command.
+COMMANDS = (
+    "table1", "table3", "table4", *(f"fig{number}" for number in range(4, 21)),
+    "ingest-collect", "ingest-worker", "serve", "query",
+    "store-inspect", "store-verify", "store-compact",
+)
 
 
 def test_parser_accepts_all_registered_experiments():
@@ -29,10 +37,10 @@ def test_scale_and_seed_options():
 
 
 def test_shards_and_workers_options():
-    args = build_parser().parse_args(["fig10", "--shards", "4", "--workers", "0"])
+    args = build_parser().parse_args(["fig4", "--shards", "4", "--workers", "0"])
     assert args.shards == 4
     assert args.workers == 0  # 0 = one worker per CPU core
-    defaults = build_parser().parse_args(["fig10"])
+    defaults = build_parser().parse_args(["fig4"])
     assert defaults.shards == 1
     assert defaults.workers == 1
 
@@ -50,8 +58,11 @@ def test_shards_rejected_by_unsupporting_commands():
     for experiment in ("fig5", "fig7", "fig11", "fig16", "table1"):
         with pytest.raises(SystemExit):
             main([experiment, "--shards", "4"])
-    # --shards 1 (the default, monolithic model) stays accepted everywhere.
-    assert main(["table1", "--shards", "1"]) == 0
+    # A command accepts only the flags it reads, so even the default value
+    # of a flag it ignores is an error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", "--shards", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_table_commands_print_output(capsys):
@@ -430,6 +441,8 @@ def test_temporal_query_flag_validation():
     with pytest.raises(SystemExit):
         main(["query", "--top-k", "5", "--interval", "0.5"])
     with pytest.raises(SystemExit):
+        main(["query", "--top-k", "5", "--interval", "1"])  # the default, given
+    with pytest.raises(SystemExit):
         main(["query", "--top-k", "5", "--watch", "2", "--epoch", "1"])
     with pytest.raises(SystemExit):
         main(["query", "--keys", "1", "--epoch", "2", "--pipeline", "4"])
@@ -442,3 +455,77 @@ def test_ring_epochs_flag_validation():
         main(["serve", "--ring-epochs", "0"])
     args = build_parser().parse_args(["serve", "--ring-epochs", "16"])
     assert args.ring_epochs == 16
+
+
+# ---------------------------------------------------------------- contract
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_renders_its_help(command, capsys):
+    # argparse formats a "%(default)s" help string only when it renders
+    # help, so a broken one fails nowhere else.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro-cli {command}")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    output = capsys.readouterr().out
+    assert all(command in output for command in COMMANDS)
+
+
+def test_pipebench_serve_argv_parses_to_what_serve_reads():
+    # The server command line of pipebench/serving.py (ServerProcess), with
+    # the values of pipebench/config.json filled in.
+    argv = [
+        "serve", "--async",
+        "--store", "STORE_DIR",
+        "--algorithm", "Ours",
+        "--memory-bytes", str(131072),
+        "--seed", str(0),
+        "--bind", "127.0.0.1:0",
+        "--publish-every", str(8192),
+        "--ring-epochs", str(8),
+        "--max-tracked-keys", str(1048576),
+        "--max-inflight", str(1024),
+        "--backlog", str(128),
+        "--drain-timeout", str(10.0),
+    ]
+    args = build_parser().parse_args(argv)
+    assert args.experiment == "serve"
+    assert (args.seed, args.memory_bytes, args.max_tracked_keys) == (0, 131072.0, 1048576)
+    assert (args.store, args.algorithm, args.bind) == ("STORE_DIR", "Ours", "127.0.0.1:0")
+    assert (args.publish_every, args.ring_epochs) == (8192, 8)
+    assert (args.max_inflight, args.backlog, args.drain_timeout) == (1024, 128, 10.0)
+
+
+@pytest.mark.parametrize("argv", (["table1", "--shards", "1"], ["fig10", "--workers", "2"]))
+def test_a_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, sweep, searches", (
+    ("fig11", "rw_sweep", ["zero outliers"]),
+    ("fig12", "rw_sweep", ["AAE target"]),
+    ("fig13", "rlambda_sweep", ["zero outliers"]),
+    ("fig14", "rlambda_sweep", ["AAE target"]),
+    ("fig15", "lambda_sweep", ["zero outliers", "AAE target"]),  # 15a, then 15b
+))
+def test_parameter_figures_search_for_their_own_target(command, sweep, searches, monkeypatch):
+    """Figures 12, 14 and 15b search for the memory that reaches the AAE
+    target the figure benchmarks use; 11, 13 and 15a for zero outliers."""
+    passed = []
+
+    def record(**kwargs):
+        passed.append(kwargs.get("target_aae"))
+        return {} if sweep == "lambda_sweep" else []
+
+    monkeypatch.setattr(parameters, sweep, record)
+    assert main([command, "--scale", "0.001"]) == 0
+    target = {"zero outliers": None, "AAE target": parameters.TARGET_AAE}
+    assert passed == [target[search] for search in searches]
